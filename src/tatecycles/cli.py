@@ -113,19 +113,33 @@ def _human_tate(report: dict) -> None:
         print(f"  dims: {dims}")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _verify_tate(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise PolyFormatError(f"cannot read report {path}: {exc}") from None
-    if loaded.get("schema") != SCHEMA_VERSION or loaded.get("command") != "tate":
+    if not isinstance(loaded, dict) or loaded.get("schema") != SCHEMA_VERSION or loaded.get("command") != "tate":
         raise PolyFormatError(f"{path} is not a schema-{SCHEMA_VERSION} tate report")
-    inputs = loaded["inputs"]
+    inputs = loaded.get("inputs")
+    if not (
+        isinstance(inputs, dict)
+        and isinstance(inputs.get("poly"), str)
+        and _is_int(inputs.get("q"))
+        and (inputs.get("n_max") is None or _is_int(inputs["n_max"]))
+    ):
+        raise PolyFormatError(
+            f"{path}: inputs must hold poly (a string), q (an integer) and n_max (an integer or null)"
+        )
     ns = argparse.Namespace(
         poly=inputs["poly"],
         q=inputs["q"],
-        n_max=inputs["n_max"],
+        n_max=inputs.get("n_max"),
         paper_convention=inputs.get("paper_convention", False),
         verify=None,
     )

@@ -28,6 +28,8 @@ __all__ = [
     "cyclotomic_multiplicity",
     "euler_phi",
     "divisors",
+    "power_sums",
+    "from_power_sums",
     "charpoly",
     "companion",
     "compound_matrix",
@@ -325,6 +327,53 @@ def cyclotomic_multiplicity(f: IntPoly, m: int) -> int:
         f = q
         if f.degree < phi.degree:
             return e
+
+
+# ---------------------------------------------------------------------------
+# power sums (Newton's identities)
+
+def power_sums(f: IntPoly, count: int) -> list[int]:
+    """Power sums p_1, ..., p_count of the roots of a monic f, with multiplicity.
+
+    Newton's identities for f = T^n + a_1 T^{n-1} + ... + a_n read
+    p_m = -(a_1 p_{m-1} + ... + a_{m-1} p_1 + m a_m), with a_m = 0 for m > n.
+
+    >>> power_sums(IntPoly([5, -3, 1]), 3)
+    [3, -1, -18]
+    """
+    if not f.is_monic():
+        raise ValueError("power sums require a monic polynomial")
+    n = f.degree
+    a = [f.coeffs[n - i] for i in range(1, n + 1)]
+    p: list[int] = []
+    for m in range(1, count + 1):
+        s = m * a[m - 1] if m <= n else 0
+        for i in range(1, min(m - 1, n) + 1):
+            s += a[i - 1] * p[m - 1 - i]
+        p.append(-s)
+    return p
+
+
+def from_power_sums(sums: "list[int] | tuple[int, ...]") -> IntPoly:
+    """The monic polynomial of degree len(sums) whose roots have power sums
+    p_1, ..., p_N: Newton's identities solved for a_m, one division by m each.
+
+    When the p_j are the power sums of N algebraic integers whose elementary
+    symmetric functions are integers, every division is exact; a nonzero
+    remainder means the sums came from a fault, and raises instead of
+    returning a wrong polynomial.
+
+    >>> from_power_sums([3, -1, -18])
+    IntPoly('T^3 - 3T^2 + 5T')
+    """
+    a: list[int] = []
+    for m, pm in enumerate(sums, 1):
+        s = pm + sum(a[i] * sums[m - 2 - i] for i in range(m - 1))
+        am, rem = divmod(-s, m)
+        if rem:
+            raise AssertionError(f"inexact Newton division: {-s} by {m}")
+        a.append(am)
+    return IntPoly(a[::-1] + [1])
 
 
 # ---------------------------------------------------------------------------

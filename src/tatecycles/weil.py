@@ -10,24 +10,34 @@ coefficient-reversed polynomial and is produced only at display time (see
 Validation is a two-stage gate: the functional equation is checked exactly in
 integer arithmetic, and the root moduli are then checked numerically on the
 squarefree part at configurable precision.
+
+The characteristic polynomials on H^r and the base changes to extensions are
+computed in integer arithmetic from power sums by Newton's identities; this
+module calls no matrix code.  The compound-matrix route in ``polycore`` is
+kept as the independent oracle that the tests check these against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import mpmath
 from mpmath import mp
 
 from .polycore import (
     IntPoly,
-    charpoly,
-    companion,
-    compound_matrix,
+    from_power_sums,
+    power_sums,
     squarefree_decomposition,
     squarefree_part,
 )
+
+# Nothing here calls these any more.  bench/tracer.py wraps them under these
+# names to time the compound-matrix route, so they stay bound until the
+# benchmark drops those two probes.
+from .polycore import charpoly, compound_matrix  # noqa: F401
 
 __all__ = [
     "WeilPoly",
@@ -202,16 +212,26 @@ def product_variety(a: WeilPoly, b: WeilPoly) -> WeilPoly:
 
 @lru_cache(maxsize=1024)
 def _subset_product_charpoly(coeffs: tuple[int, ...], r: int) -> IntPoly:
-    f = IntPoly(coeffs)
-    return charpoly(compound_matrix(companion(f), r))
+    # The alpha^j have power sums P_j, P_2j, ..., and the degree-r polynomial
+    # rebuilt from the first r of them has constant term (-1)^r e_r(alpha^j).
+    degree = comb(len(coeffs) - 1, r)
+    P = power_sums(IntPoly(coeffs), r * degree)
+    sign = -1 if r % 2 else 1
+    S = [sign * from_power_sums(P[j - 1:r * j:j]).coeffs[0] for j in range(1, degree + 1)]
+    return from_power_sums(S)
 
 
 def h_charpoly(w: WeilPoly, r: int) -> CohomPoly:
     """Characteristic polynomial of Frobenius on H^r.
 
-    Its roots are exactly the products of r distinct-index H^1 eigenvalues
-    (the eigenvalues of the r-th compound of the companion matrix); degree
-    binom(2d, r).  r = 0 gives T - 1.
+    Its roots are exactly the products of r distinct-index H^1 eigenvalues;
+    degree binom(2d, r).  r = 0 gives T - 1.  Computed from power sums: the
+    j-th power sum of the roots is e_r(alpha_1^j, ..., alpha_2d^j), which
+    Newton-Girard takes from the power sums of f, and a second Newton pass
+    rebuilds the polynomial, with exact integer divisions only.  The
+    characteristic polynomial of the r-th compound of the companion matrix
+    (``polycore.compound_matrix``) gives the same polynomial and serves as
+    the independent oracle in the tests.
     """
     if not 0 <= r <= 2 * w.d:
         raise ValueError(f"cohomology degree r = {r} out of range 0..{2 * w.d}")
@@ -223,8 +243,9 @@ def h_charpoly(w: WeilPoly, r: int) -> CohomPoly:
 def base_change(w: WeilPoly, n: int) -> WeilPoly:
     """Weil polynomial over the degree-n extension: roots are the alpha_i^n.
 
-    Computed as the characteristic polynomial of the exact n-th power of the
-    companion matrix.
+    Since p_j(f_n) = p_{jn}(f), the power sums of f give those of f_n, and
+    one Newton pass rebuilds it exactly.  The characteristic polynomial of
+    the n-th power of the companion matrix is the oracle in the tests.
 
     >>> base_change(weil_from_trace(0, 5), 2).poly
     IntPoly('T^2 + 10T + 25')
@@ -233,7 +254,7 @@ def base_change(w: WeilPoly, n: int) -> WeilPoly:
         raise ValueError("extension degree must be >= 1")
     if n == 1:
         return w
-    f = charpoly(companion(w.poly).pow(n))
+    f = from_power_sums(power_sums(w.poly, w.poly.degree * n)[n - 1::n])
     return WeilPoly(poly=f, q=w.q**n, p=w.p, d=w.d)
 
 

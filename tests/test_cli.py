@@ -1,6 +1,7 @@
 """Command-line interface: worked examples, JSON reports, exit codes,
 determinism, and the verify round trip."""
 
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,34 @@ def test_tate_verify_rejects_garbage(capsys, tmp_path):
     path.write_text("not json", encoding="utf-8")
     code, _, _ = run_cli(capsys, "tate", "--verify", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"schema": 1, "command": "tate"},
+        {"schema": 1, "command": "tate", "inputs": {"poly": "5,0,1", "q": "5", "n_max": None}},
+        {"schema": 1, "command": "tate", "inputs": {"poly": [5, 0, 1], "q": 5, "n_max": None}},
+        {"schema": 1, "command": "tate", "inputs": {"poly": "5,0,1", "q": 5, "n_max": "3"}},
+        [1, 2],
+    ],
+)
+def test_tate_verify_rejects_malformed_inputs(capsys, tmp_path, report):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    code, _, err = run_cli(capsys, "tate", "--verify", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_tate_d4_report_pinned(capsys):
+    # quartic x elliptic x elliptic over F_7 (H^4 has degree 70); the digest
+    # was taken from the compound-matrix route, so any change to the H^{2k}
+    # charpolys or to the report layout shows here
+    code, out, _ = run_cli(capsys, "tate", "--poly", "2401,686,588,175,136,25,12,2,1", "--q", "7", "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "e7ecb75a0a5d63e888b06f42454cf2f0a76bc36bea6e27aa3fb1e4bf1e561606"
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from tatecycles.polycore import (
     divisors,
     euler_phi,
     format_poly,
+    from_power_sums,
     parse_poly,
     poly_gcd,
+    power_sums,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -160,6 +162,32 @@ def test_cyclotomic_multiplicity_increment_property():
 def test_cyclotomic_rejects_nonpositive():
     with pytest.raises(ValueError):
         cyclotomic(0)
+
+
+# ---------------------------------------------------------------------------
+# power sums
+
+def test_power_sums_example():
+    # roots 1, 2, 3
+    f = IntPoly([-6, 11, -6, 1])
+    assert power_sums(f, 4) == [6, 14, 36, 98]
+    assert power_sums(IntPoly([1]), 3) == [0, 0, 0]
+    with pytest.raises(ValueError):
+        power_sums(IntPoly([5, -3, 2]), 2)
+
+
+def test_power_sums_round_trip():
+    rng = random.Random(30)
+    for _ in range(100):
+        deg = rng.randint(1, 9)
+        f = IntPoly([rng.randint(-50, 50) for _ in range(deg)] + [1])
+        assert from_power_sums(power_sums(f, deg)) == f
+
+
+def test_from_power_sums_rejects_inexact_division():
+    # p_1 = 1, p_2 = 0 would need e_2 = 1/2
+    with pytest.raises(AssertionError):
+        from_power_sums([1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from conftest import instance_suite, random_weil
-from tatecycles.polycore import IntPoly
+from tatecycles.polycore import IntPoly, charpoly, companion, compound_matrix
 from tatecycles.weil import (
     WeilValidationError,
     base_change,
@@ -191,6 +191,37 @@ def test_h_charpoly_root_moduli():
                 target = mp.mpf(w.q) ** r
                 for root in complex_roots(f, 220):
                     assert abs(abs(root) ** 2 - target) < mp.mpf(2) ** -80 * target
+
+
+# The library takes H^r and base change from power sums; the compound-matrix
+# and companion-power routes below are the independent oracles.
+
+def _supersingular_powers(q=5, k_max=3):
+    # E^k for E of trace 0: for k >= 2 every root of H^1 is repeated
+    e = weil_from_trace(0, q)
+    out = [e]
+    for _ in range(k_max - 1):
+        out.append(product_variety(out[-1], e))
+    return out
+
+
+def test_h_charpoly_matches_compound_oracle():
+    for w in instance_suite(12, d_max=3, seed=19) + _supersingular_powers():
+        for r in range(1, 2 * w.d + 1):
+            assert h_charpoly(w, r).poly == charpoly(compound_matrix(companion(w.poly), r))
+
+
+def test_h_charpoly_matches_compound_oracle_d4():
+    # quartic x elliptic x elliptic over F_7; H^4 has degree 70
+    quartic = validate_weil(IntPoly([49, 7, 3, 1, 1]), 7)
+    w = product_variety(product_variety(quartic, weil_from_trace(2, 7)), weil_from_trace(-3, 7))
+    assert h_charpoly(w, 4).poly == charpoly(compound_matrix(companion(w.poly), 4))
+
+
+def test_base_change_matches_companion_power_oracle():
+    for w in instance_suite(12, d_max=3, seed=20) + _supersingular_powers():
+        for n in range(1, 5):
+            assert base_change(w, n).poly == charpoly(companion(w.poly).pow(n))
 
 
 # ---------------------------------------------------------------------------
