@@ -14,6 +14,8 @@ from math import factorial
 
 from mpmath import mp
 
+from .polycore import is_prime
+
 __all__ = [
     "FieldParams",
     "BoundReport",
@@ -122,7 +124,7 @@ def f_of_K(fp: FieldParams, precision_bits: int = DEFAULT_PRECISION_BITS):
 def _check_primes(ps) -> list[int]:
     out = sorted(set(ps))
     for p in out:
-        if p < 2 or any(p % f == 0 for f in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     return out
 

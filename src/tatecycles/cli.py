@@ -152,109 +152,109 @@ def _verify_tate(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # bounds
 
+def _mpf_arg(args, name: str, precision: int | None = None):
+    """The real number given as ``--name``, read at the working precision;
+    a non-number, nan or an infinity is an input error naming the flag."""
+    text = getattr(args, name)
+    try:
+        with mp.workprec(precision or args.precision):
+            value = mp.mpf(text)
+    except ValueError:
+        value = None
+    if value is None or not mp.isfinite(value):
+        flag = "--" + name.replace("_", "-")
+        raise ValueError(f"{flag} must be a finite real number, got {text!r}")
+    return value
+
+
 def _field_params(args) -> bounds.FieldParams:
-    with mp.workprec(args.precision):
-        log_dk = mp.mpf(args.log_dk)
-    return bounds.FieldParams(args.nk, log_dk, args.exceptional)
+    return bounds.FieldParams(args.nk, _mpf_arg(args, "log_dk"), args.exceptional)
 
 
-def _mpf_arg(args, name: str):
-    with mp.workprec(args.precision):
-        return mp.mpf(getattr(args, name))
+def _bounds_fk(args) -> dict:
+    value = bounds.f_of_K(_field_params(args), precision_bits=args.precision)
+    return {
+        "name": "f_of_K",
+        "inputs": {
+            "n_K": str(args.nk),
+            "log_abs_disc_K": args.log_dk,
+            "has_exceptional_zero": args.exceptional,
+        },
+        "value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
+    }
+
+
+def _bounds_hensel(args) -> dict:
+    primes = _parse_int_list(args.primes)
+    value = bounds.hensel_log_disc(args.nl, primes, precision_bits=args.precision)
+    return {
+        "name": "hensel_log_disc",
+        "inputs": {"n_L": str(args.nl), "ramified_primes": args.primes},
+        "log_value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
+    }
+
+
+def _bounds_hensel_galois(args) -> dict:
+    primes = _parse_int_list(args.primes)
+    value = bounds.hensel_galois_log_disc(
+        args.nl, args.nk, _mpf_arg(args, "log_dk"), primes, precision_bits=args.precision
+    )
+    return {
+        "name": "hensel_galois_log_disc",
+        "inputs": {
+            "n_L": str(args.nl),
+            "n_K": str(args.nk),
+            "log_abs_disc_K": args.log_dk,
+            "ramified_primes": args.primes,
+        },
+        "log_value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
+    }
+
+
+def _bounds_nonsplit(args) -> dict:
+    fp = _field_params(args)
+    rep = bounds.least_nonsplit_bound(
+        fp, _mpf_arg(args, "log_dl"), args.n, _mpf_arg(args, "c"), precision_bits=args.precision
+    )
+    return rep.to_record()
+
+
+def _bounds_B(args) -> dict:
+    fp = _field_params(args)
+    return bounds.bound_B(_mpf_arg(args, "N"), fp, args.m, args.d, precision_bits=args.precision).to_record()
+
+
+def _bounds_C(args) -> dict:
+    fp = _field_params(args)
+    return bounds.bound_C(
+        _mpf_arg(args, "N"),
+        args.d,
+        _mpf_arg(args, "log_df"),
+        fp,
+        _mpf_arg(args, "c"),
+        _mpf_arg(args, "c1"),
+        precision_bits=args.precision,
+    ).to_record()
+
+
+_FIELD_INPUTS = ("nk", "log_dk", "exceptional")
+
+# subcommand -> (report row, parsed arguments echoed as the report inputs)
+BOUNDS_COMMANDS = {
+    "fk": (_bounds_fk, _FIELD_INPUTS),
+    "hensel": (_bounds_hensel, ("nl", "primes")),
+    "hensel-galois": (_bounds_hensel_galois, ("nl", "nk", "log_dk", "primes")),
+    "nonsplit": (_bounds_nonsplit, _FIELD_INPUTS + ("log_dl", "n", "c")),
+    "B": (_bounds_B, ("N",) + _FIELD_INPUTS + ("m", "d")),
+    "C": (_bounds_C, ("N", "d", "log_df") + _FIELD_INPUTS + ("c", "c1")),
+}
 
 
 def cmd_bounds(args) -> dict:
-    prec = args.precision
-    if args.subcommand == "fk":
-        fp = _field_params(args)
-        value = bounds.f_of_K(fp, precision_bits=prec)
-        row = {
-            "name": "f_of_K",
-            "inputs": {
-                "n_K": str(args.nk),
-                "log_abs_disc_K": args.log_dk,
-                "has_exceptional_zero": args.exceptional,
-            },
-            "value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
-        }
-        inputs = {"nk": args.nk, "log_dk": args.log_dk, "exceptional": args.exceptional}
-    elif args.subcommand == "hensel":
-        primes = _parse_int_list(args.primes)
-        value = bounds.hensel_log_disc(args.nl, primes, precision_bits=prec)
-        row = {
-            "name": "hensel_log_disc",
-            "inputs": {"n_L": str(args.nl), "ramified_primes": args.primes},
-            "log_value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
-        }
-        inputs = {"nl": args.nl, "primes": args.primes}
-    elif args.subcommand == "hensel-galois":
-        primes = _parse_int_list(args.primes)
-        value = bounds.hensel_galois_log_disc(
-            args.nl, args.nk, _mpf_arg(args, "log_dk"), primes, precision_bits=prec
-        )
-        row = {
-            "name": "hensel_galois_log_disc",
-            "inputs": {
-                "n_L": str(args.nl),
-                "n_K": str(args.nk),
-                "log_abs_disc_K": args.log_dk,
-                "ramified_primes": args.primes,
-            },
-            "log_value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
-        }
-        inputs = {"nl": args.nl, "nk": args.nk, "log_dk": args.log_dk, "primes": args.primes}
-    elif args.subcommand == "nonsplit":
-        fp = _field_params(args)
-        rep = bounds.least_nonsplit_bound(
-            fp, _mpf_arg(args, "log_dl"), args.n, _mpf_arg(args, "c"), precision_bits=prec
-        )
-        row = rep.to_record()
-        inputs = {
-            "nk": args.nk,
-            "log_dk": args.log_dk,
-            "exceptional": args.exceptional,
-            "log_dl": args.log_dl,
-            "n": args.n,
-            "c": args.c,
-        }
-    elif args.subcommand == "B":
-        fp = _field_params(args)
-        rep = bounds.bound_B(_mpf_arg(args, "N"), fp, args.m, args.d, precision_bits=prec)
-        row = rep.to_record()
-        inputs = {
-            "N": args.N,
-            "nk": args.nk,
-            "log_dk": args.log_dk,
-            "exceptional": args.exceptional,
-            "m": args.m,
-            "d": args.d,
-        }
-    elif args.subcommand == "C":
-        fp = _field_params(args)
-        rep = bounds.bound_C(
-            _mpf_arg(args, "N"),
-            args.d,
-            _mpf_arg(args, "log_df"),
-            fp,
-            _mpf_arg(args, "c"),
-            _mpf_arg(args, "c1"),
-            precision_bits=prec,
-        )
-        row = rep.to_record()
-        inputs = {
-            "N": args.N,
-            "d": args.d,
-            "log_df": args.log_df,
-            "nk": args.nk,
-            "log_dk": args.log_dk,
-            "exceptional": args.exceptional,
-            "c": args.c,
-            "c1": args.c1,
-        }
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(f"unknown bounds subcommand {args.subcommand}")
-    inputs["precision_bits"] = prec
-    return _report(f"bounds {args.subcommand}", inputs, [row], precision_bits=prec)
+    row, echoed = BOUNDS_COMMANDS[args.subcommand]
+    inputs = {name: getattr(args, name) for name in echoed}
+    inputs["precision_bits"] = args.precision
+    return _report(f"bounds {args.subcommand}", inputs, [row(args)], precision_bits=args.precision)
 
 
 def _human_bounds(report: dict) -> None:
@@ -308,8 +308,7 @@ def cmd_cm(args) -> dict:
         inputs = {"curve": args.curve, "pmax": args.pmax}
         return _report("cm noncm", inputs, records)
     if args.subcommand == "nonsplit":
-        with mp.workprec(bounds.DEFAULT_PRECISION_BITS):
-            c = mp.mpf(args.c)
+        c = _mpf_arg(args, "c", bounds.DEFAULT_PRECISION_BITS)
         res = cmlab.least_nonsplit_search(args.disc, c=c)
         row = {
             "found_prime": res.found_prime,

@@ -14,14 +14,14 @@ independent trace oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 import mpmath
 from mpmath import mp
 
 from .bounds import RATIONALS, BoundReport, FieldParams, least_nonsplit_bound
+from .polycore import BudgetExceededError, factorization, is_prime
 from .tate import stable_tate_dim, tate_dim
 from .weil import product_variety, weil_from_trace
 
@@ -57,10 +57,6 @@ NONCM_BUDGET = 10**4
 PIK_BUDGET = 10**8
 
 
-class BudgetExceededError(Exception):
-    """A requested computation exceeds the naive-enumeration budget."""
-
-
 class InternalError(Exception):
     """An invariant that should hold for valid inputs failed."""
 
@@ -88,19 +84,6 @@ def _prime_stream():
         if is_prime(n):
             yield n
         n += 2
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -132,24 +115,11 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 def _squarefree_part(n: int) -> int:
-    """Largest squarefree divisor structure: n with all square factors removed,
-    sign preserved."""
+    """n with all square factors removed, sign preserved."""
     if n == 0:
         raise ValueError("zero has no squarefree part")
     sign = -1 if n < 0 else 1
-    m = abs(n)
-    out = 1
-    for p in itertools.chain((2,), itertools.count(3, 2)):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e % 2:
-                out *= p
-    return sign * out * m
+    return sign * prod(p for p, e in factorization(abs(n)) if e % 2)
 
 
 def fundamental_discriminant(D: int) -> int:

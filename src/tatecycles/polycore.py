@@ -22,10 +22,14 @@ __all__ = [
     "IntPoly",
     "IntMatrix",
     "PolyFormatError",
+    "BudgetExceededError",
     "parse_poly",
     "format_poly",
     "cyclotomic",
     "cyclotomic_multiplicity",
+    "FACTOR_TRIAL_BOUND",
+    "factorization",
+    "is_prime",
     "euler_phi",
     "divisors",
     "power_sums",
@@ -231,14 +235,30 @@ def format_poly(f: IntPoly) -> str:
 
 # ---------------------------------------------------------------------------
 # elementary number theory helpers
+#
+# ``factorization`` is the one factor loop of the package: primality, prime
+# powers and squarefree parts are all read off it.  Trial division stops at
+# FACTOR_TRIAL_BOUND; a cofactor with no factor below it is prime when it is
+# under the bound squared, and a larger one raises BudgetExceededError.
 
-@lru_cache(maxsize=None)
-def _factorization(n: int) -> tuple[tuple[int, int], ...]:
+FACTOR_TRIAL_BOUND = 10**6
+
+
+class BudgetExceededError(Exception):
+    """A requested computation exceeds the naive-enumeration budget."""
+
+
+def factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as ascending (p, e) pairs.
+
+    >>> factorization(360)
+    ((2, 3), (3, 2), (5, 1))
+    """
     if n < 1:
         raise ValueError("positive integer required")
     out = []
     m = n
-    for p in itertools.chain((2,), itertools.count(3, 2)):
+    for p in itertools.chain((2,), range(3, FACTOR_TRIAL_BOUND, 2)):
         if p * p > m:
             break
         if m % p == 0:
@@ -247,9 +267,22 @@ def _factorization(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             out.append((p, e))
+    else:
+        if m >= FACTOR_TRIAL_BOUND**2:
+            raise BudgetExceededError(
+                f"factoring capped: a cofactor >= {FACTOR_TRIAL_BOUND}^2 has no prime factor below {FACTOR_TRIAL_BOUND}"
+            )
     if m > 1:
         out.append((m, 1))
     return tuple(out)
+
+
+# memoized for euler_phi and divisors, whose arguments repeat
+_factorization = lru_cache(maxsize=None)(factorization)
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and factorization(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)

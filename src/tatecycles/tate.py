@@ -27,7 +27,7 @@ from math import comb, lcm
 
 from mpmath import mp
 
-from .polycore import IntPoly, cyclotomic_multiplicity, euler_phi
+from .polycore import BudgetExceededError, IntPoly, cyclotomic_multiplicity, euler_phi
 from .weil import WeilPoly, complex_roots, h_charpoly
 
 __all__ = [
@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 DISPLAY_N_CAP = 60
+# largest n_report tate_profile tabulates; at d = 2 the CLI report for
+# 10^5 degrees is already 19 MB of JSON
+N_REPORT_BUDGET = 10**5
 NUMERIC_GUARD_MAX_H1_DEGREE = 16
 
 
@@ -157,10 +160,13 @@ def tate_profile(w: WeilPoly, n_report: int | None = None) -> TateProfile:
 
     ``n_report`` controls how many extension degrees are tabulated per row;
     by default each row runs to its degree bound, capped at 60 for display.
-    The stable data is always exact regardless of the cap.
+    The stable data is always exact regardless of the cap.  An ``n_report``
+    above N_REPORT_BUDGET raises BudgetExceededError.
     """
     if n_report is not None and n_report < 1:
         raise ValueError("n_report must be >= 1")
+    if n_report is not None and n_report > N_REPORT_BUDGET:
+        raise BudgetExceededError(f"reports capped at n_max <= {N_REPORT_BUDGET}")
     rows = []
     for k in range(w.d + 1):
         bound = degree_bound(w.d, k)

@@ -9,7 +9,7 @@ coefficient-reversed polynomial and is produced only at display time (see
 
 Validation is a two-stage gate: the functional equation is checked exactly in
 integer arithmetic, and the root moduli are then checked numerically on the
-squarefree part at configurable precision.
+squarefree part at a fixed precision (DEFAULT_ROOT_PRECISION_BITS).
 
 The characteristic polynomials on H^r and the base changes to extensions are
 computed in integer arithmetic from power sums by Newton's identities; this
@@ -28,6 +28,7 @@ from mpmath import mp
 
 from .polycore import (
     IntPoly,
+    factorization,
     from_power_sums,
     power_sums,
     squarefree_decomposition,
@@ -102,23 +103,8 @@ def _prime_power_split(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q = p^e, or None if q is not a prime power."""
     if q < 2:
         return None
-    p = None
-    if q % 2 == 0:
-        p = 2
-    else:
-        f = 3
-        while f * f <= q:
-            if q % f == 0:
-                p = f
-                break
-            f += 2
-        else:
-            return q, 1  # q itself is prime
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
-        e += 1
-    return (p, e) if m == 1 else None
+    pe = factorization(q)
+    return pe[0] if len(pe) == 1 else None
 
 
 def _coeff_bits(f: IntPoly) -> int:
@@ -145,8 +131,8 @@ def complex_roots(f: IntPoly, precision_bits: int):
     return roots
 
 
-def _root_moduli_ok(f: IntPoly, q: int, precision_bits: int) -> bool:
-    work = max(precision_bits, 64) + _coeff_bits(f) + 2 * q.bit_length() + 32
+def _root_moduli_ok(f: IntPoly, q: int) -> bool:
+    work = DEFAULT_ROOT_PRECISION_BITS + _coeff_bits(f) + 2 * q.bit_length() + 32
     with mp.workprec(work):
         sf = squarefree_part(f)
         desc = [mp.mpf(c) for c in reversed(sf.coeffs)]
@@ -155,7 +141,7 @@ def _root_moduli_ok(f: IntPoly, q: int, precision_bits: int) -> bool:
         return all(abs(abs(mp.mpc(r)) ** 2 - q) <= tol for r in roots)
 
 
-def validate_weil(f: IntPoly, q: int, precision_bits: int = DEFAULT_ROOT_PRECISION_BITS) -> WeilPoly:
+def validate_weil(f: IntPoly, q: int) -> WeilPoly:
     """Validate f as a Weil q-polynomial and return the typed value.
 
     Checks, in order: q is a prime power, f is monic of positive even degree,
@@ -187,7 +173,7 @@ def validate_weil(f: IntPoly, q: int, precision_bits: int = DEFAULT_ROOT_PRECISI
                 "FunctionalEquationFails",
                 f"coefficient {j}: {c[j]} != q^{d - j} * {c[2 * d - j]}",
             )
-    if not _root_moduli_ok(f, q, precision_bits):
+    if not _root_moduli_ok(f, q):
         raise WeilValidationError("RootModulusFails", f"some root does not have modulus sqrt({q})")
     return WeilPoly(poly=f, q=q, p=p, d=d)
 

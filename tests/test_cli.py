@@ -1,10 +1,14 @@
 """Command-line interface: worked examples, JSON reports, exit codes,
 determinism, and the verify round trip."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tatecycles import cli
 
@@ -180,6 +184,63 @@ def test_bounds_hensel_galois(capsys):
     assert abs(float(report["rows"][0]["log_value"]) - 7.7424) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["fk", "--nk", "2", "--log-dk", "1.3862943611198906", "--exceptional", "yes"],
+            "1427eae09a2c7b2ebc18ea448aab147fcd642cb56e864bf5265c62d138309bb8",
+        ),
+        (
+            ["hensel", "--nl", "4", "--primes", "2,3,5"],
+            "caeee8d41c3067baa201ad473a631dcf89569b72af8fb47117a4d24c40b42034",
+        ),
+        (
+            ["hensel-galois", "--nl", "4", "--nk", "2", "--log-dk", "1.3862943611198906", "--primes", "3,7"],
+            "4604b4095f26cf247b62d4eee3a0120639848b6de12f763f37a22d8f7f080146",
+        ),
+        (
+            ["nonsplit", "--nk", "2", "--log-dk", "2.5", "--exceptional", "unknown",
+             "--log-dl", "10.75", "--n", "3", "--c", "1.5"],
+            "8a00ef5605aeb0238b8c2b6583709c02d8841f5ecd7dc72892782ac6504f42ec",
+        ),
+        (
+            ["B", "--N", "37", "--nk", "2", "--log-dk", "1.0986122886681098", "--exceptional", "no",
+             "--m", "2", "--d", "2"],
+            "c7d13e9d37b72249d32ee3ca7b1f6ed9414daf269d47e0bd68914a6c6edd014c",
+        ),
+        (
+            ["C", "--N", "11", "--d", "2", "--log-df", "2.0794415416798357", "--nk", "1",
+             "--c", "2", "--c1", "3", "--precision", "300"],
+            "81be631a845f675f3f18a4b044cb57a5769cd985e79fff6ece52657211be743f",
+        ),
+    ],
+)
+def test_bounds_reports_pinned(capsys, argv, digest):
+    # one report per bounds subcommand, digests taken before cmd_bounds
+    # became table-driven; the inputs echo and the rows must not move
+    code, out, err = run_cli(capsys, "bounds", *argv, "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["B", "--N", "nan", "--nk", "1", "--m", "1", "--d", "1"], "--N"),
+        (["B", "--N", "inf", "--nk", "1", "--m", "1", "--d", "1"], "--N"),
+        (["fk", "--nk", "2", "--log-dk", "nan", "--exceptional", "yes"], "--log-dk"),
+        (["nonsplit", "--nk", "1", "--log-dl", "inf", "--n", "2"], "--log-dl"),
+        (["C", "--N", "1", "--d", "1", "--log-df", "1", "--nk", "1", "--c1", "nan"], "--c1"),
+    ],
+)
+def test_bounds_rejects_non_finite_reals(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "bounds", *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert flag in err and "finite" in err
+
+
 def test_bounds_missing_parameter(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bounds", "B", "--N", "2", "--m", "1", "--d", "1"])  # no --nk
@@ -236,3 +297,108 @@ def test_survey_json_numbers_within_64_bits_are_ints(capsys):
     report = run_json(capsys, "cm", "survey", "--disc", "-4", "--pmax", "50")
     row = next(r for r in report["rows"] if r.get("p") == 13)
     assert isinstance(row["p"], int) and isinstance(row["a_p"], int)
+
+
+# ---------------------------------------------------------------------------
+# budgets and the exit-code contract
+
+# the least prime above 10^399
+PRIME_400_DIGITS = str(10**399 + 1311)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tate", "--poly", "1,0,1", "--q", "1000000000000000003"],
+        ["cm", "nonsplit", "--disc", "1000000000000000009"],
+        ["cm", "pik", "--disc", "1000000000000000009", "--x", "10"],
+        ["bounds", "hensel", "--nl", "2", "--primes", "1000000000000000003"],
+        ["bounds", "hensel", "--primes", PRIME_400_DIGITS, "--nl", "2"],
+        ["tate", "--poly", "25,0,10,0,1", "--q", "5", "--n-max", "100000000"],
+    ],
+)
+def test_budget_exit_code(capsys, argv):
+    # primes above the trial-division cap and an oversized report used to
+    # hang or end in a traceback
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded" in err
+
+
+def test_factor_budget_edge_resolves(capsys):
+    # a prime just below 10^12 is still certified: T^2 + q over F_q
+    report = run_json(capsys, "tate", "--poly", "999999000001,0,1", "--q", "999999000001")
+    assert report["inputs"]["weil"]["d"] == 1
+
+
+def _exit_status(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+_BIG_INTS = st.one_of(
+    st.integers(-10, 10**4),
+    st.integers(10**4, 10**30),
+    st.sampled_from([999999000001, 999983**2, 1000003 * 1000033, 2**61 - 1, 10**30]),
+)
+_REALS = st.one_of(
+    st.sampled_from(["nan", "inf", "+inf", "-inf", "NaN", "Infinity", "1e400", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 10**6).map(str),
+)
+_FUZZ = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _assert_contract(argv):
+    code, err = _exit_status(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+
+
+@_FUZZ
+@given(q=_BIG_INTS, constant=st.booleans())
+def test_fuzz_tate_q(q, constant):
+    poly = f"{q},0,1" if constant else "1,0,1"
+    _assert_contract(["tate", "--poly", poly, "--q", str(q), "--json"])
+
+
+@_FUZZ
+@given(primes=st.lists(_BIG_INTS, min_size=1, max_size=3), nl=st.integers(1, 4))
+def test_fuzz_bounds_hensel_primes(primes, nl):
+    _assert_contract(["bounds", "hensel", "--nl", str(nl), "--primes", ",".join(map(str, primes)), "--json"])
+
+
+@_FUZZ
+@given(disc=_BIG_INTS, pik=st.booleans())
+def test_fuzz_cm_disc(disc, pik):
+    argv = ["cm", "pik", "--disc", str(disc), "--x", "10"] if pik else ["cm", "nonsplit", "--disc", str(disc)]
+    _assert_contract(argv + ["--json"])
+
+
+@_FUZZ
+@given(
+    sub=st.sampled_from(["fk", "hensel-galois", "nonsplit", "B", "C", "cm-nonsplit"]),
+    value=_REALS,
+)
+def test_fuzz_real_flags(sub, value):
+    argv = {
+        "fk": ["bounds", "fk", "--nk", "2", "--exceptional", "yes", "--log-dk", value],
+        "hensel-galois": ["bounds", "hensel-galois", "--nl", "4", "--nk", "2", "--log-dk", value],
+        "nonsplit": ["bounds", "nonsplit", "--nk", "1", "--n", "2", "--log-dl", value],
+        "B": ["bounds", "B", "--nk", "1", "--m", "1", "--d", "1", "--N", value],
+        "C": ["bounds", "C", "--nk", "1", "--d", "1", "--log-df", "1", "--c1", value],
+        "cm-nonsplit": ["cm", "nonsplit", "--disc", "-4", "--c", value],
+    }[sub]
+    _assert_contract(argv + ["--json"])

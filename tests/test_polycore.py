@@ -9,7 +9,10 @@ from math import comb, lcm
 import pytest
 from mpmath import mp
 
+from tatecycles.cmlab import primes_up_to
 from tatecycles.polycore import (
+    FACTOR_TRIAL_BOUND,
+    BudgetExceededError,
     IntMatrix,
     IntPoly,
     PolyFormatError,
@@ -20,8 +23,10 @@ from tatecycles.polycore import (
     cyclotomic_multiplicity,
     divisors,
     euler_phi,
+    factorization,
     format_poly,
     from_power_sums,
+    is_prime,
     parse_poly,
     poly_gcd,
     power_sums,
@@ -390,3 +395,50 @@ def test_squarefree_decomposition_random_reconstruction():
         # equal up to content: compare after clearing the leading coefficients
         assert rebuilt.degree == f.degree
         assert f * rebuilt.leading == rebuilt * f.leading
+
+
+# ---------------------------------------------------------------------------
+# factorization, the one trial-division loop
+
+def test_is_prime_matches_sieve():
+    limit = 10**5
+    sieved = set(primes_up_to(limit))
+    assert [n for n in range(-3, limit) if is_prime(n)] == sorted(sieved)
+
+
+def test_factorization_multiplies_back():
+    rng = random.Random(7)
+    samples = list(range(1, 2000)) + [rng.randrange(1, 10**12) for _ in range(30)]
+    samples += [2**40, 3**25, 999983**2, 2 * 3 * 5 * 7 * 11 * 13 * 999983]
+    for n in samples:
+        pe = factorization(n)
+        primes = [p for p, _ in pe]
+        assert primes == sorted(set(primes))
+        assert all(e >= 1 and is_prime(p) for p, e in pe)
+        out = 1
+        for p, e in pe:
+            out *= p**e
+        assert out == n
+
+
+def test_factorization_rejects_nonpositive():
+    for n in (0, -1, -12):
+        with pytest.raises(ValueError):
+            factorization(n)
+
+
+def test_factorization_budget_edge():
+    assert FACTOR_TRIAL_BOUND == 10**6
+    # a prime just below the bound squared needs the whole trial range
+    assert factorization(999999000001) == ((999999000001, 1),)
+    assert is_prime(999999000001)
+    # the square of the largest prime below the bound
+    assert factorization(999983**2) == ((999983, 2),)
+    assert not is_prime(999983**2)
+    # small factors are split off before the cap applies to the cofactor
+    assert factorization(8 * 999999000001) == ((2, 3), (999999000001, 1))
+    # both factors of this semiprime lie above the bound
+    with pytest.raises(BudgetExceededError):
+        factorization(1000003 * 1000033)
+    with pytest.raises(BudgetExceededError):
+        is_prime(1000000000000000003)

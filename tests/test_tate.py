@@ -8,8 +8,9 @@ import pytest
 from mpmath import mp
 
 from conftest import instance_suite, random_weil
-from tatecycles.polycore import IntPoly, euler_phi
+from tatecycles.polycore import BudgetExceededError, IntPoly, euler_phi
 from tatecycles.tate import (
+    N_REPORT_BUDGET,
     PrecisionInsufficientError,
     _classify_distance,
     degree_bound,
@@ -243,3 +244,11 @@ def test_stable_dim_counts_phi_weighted_roots_of_unity():
     assert tate_dim(w, 1, 4) == 6
     assert tate_dim(w, 1, 2) == 4
     assert tate_dim_numeric(w, 1, 4) == 6
+
+
+def test_tate_profile_report_budget():
+    e = weil_from_trace(0, 5)
+    rows = tate_profile(e, n_report=N_REPORT_BUDGET).rows
+    assert [len(row.dims) for row in rows] == [N_REPORT_BUDGET, N_REPORT_BUDGET]
+    with pytest.raises(BudgetExceededError):
+        tate_profile(e, n_report=N_REPORT_BUDGET + 1)
