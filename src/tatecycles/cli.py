@@ -250,7 +250,13 @@ BOUNDS_COMMANDS = {
 }
 
 
+# least working precision at which the printed LOG_VALUE_DIGITS digits mean anything
+MIN_PRECISION_BITS = math.ceil(bounds.LOG_VALUE_DIGITS * math.log2(10))
+
+
 def cmd_bounds(args) -> dict:
+    if args.precision < MIN_PRECISION_BITS:
+        raise ValueError(f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}")
     row, echoed = BOUNDS_COMMANDS[args.subcommand]
     inputs = {name: getattr(args, name) for name in echoed}
     inputs["precision_bits"] = args.precision
@@ -377,35 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exceptional", choices=["yes", "no", "unknown"], default="no",
                        help="exceptional zero of the Dedekind zeta function of K")
 
-    def add_precision(p):
-        p.add_argument("--precision", type=int, default=bounds.DEFAULT_PRECISION_BITS,
-                       help="working precision in bits")
-
     b_fk = bsub.add_parser("fk", help="the field constant f(K)")
     add_field_args(b_fk)
-    add_precision(b_fk)
     b_h = bsub.add_parser("hensel", help="log-discriminant bound from ramified primes")
     b_h.add_argument("--nl", type=int, required=True)
     b_h.add_argument("--primes", default="", help="comma-separated ramified primes")
-    add_precision(b_h)
     b_hg = bsub.add_parser("hensel-galois", help="Galois form of the log-discriminant bound")
     b_hg.add_argument("--nl", type=int, required=True)
     b_hg.add_argument("--nk", type=int, required=True)
     b_hg.add_argument("--log-dk", default="0", dest="log_dk")
     b_hg.add_argument("--primes", default="")
-    add_precision(b_hg)
     b_ns = bsub.add_parser("nonsplit", help="least non-split prime norm bound")
     add_field_args(b_ns)
     b_ns.add_argument("--log-dl", required=True, dest="log_dl", help="natural log of |d_L|")
     b_ns.add_argument("--n", type=int, required=True, help="relative degree of L over K")
     b_ns.add_argument("--c", default="1")
-    add_precision(b_ns)
     b_B = bsub.add_parser("B", help="the bound B(N, K, m, d)")
     b_B.add_argument("--N", required=True)
     b_B.add_argument("--m", type=int, required=True)
     b_B.add_argument("--d", type=int, required=True)
     add_field_args(b_B)
-    add_precision(b_B)
     b_C = bsub.add_parser("C", help="the bound C(N, d, F, K)")
     b_C.add_argument("--N", required=True)
     b_C.add_argument("--d", type=int, required=True)
@@ -413,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     b_C.add_argument("--c", default="1")
     b_C.add_argument("--c1", default="1")
     add_field_args(b_C)
-    add_precision(b_C)
     for p in (b_fk, b_h, b_hg, b_ns, b_B, b_C):
+        p.add_argument("--precision", type=int, default=bounds.DEFAULT_PRECISION_BITS,
+                       help=f"working precision in bits (at least {MIN_PRECISION_BITS})")
         p.add_argument("--json", action="store_true")
     p_bounds.set_defaults(run=cmd_bounds, human=_human_bounds)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -40,6 +39,7 @@ __all__ = [
     "poly_gcd",
     "squarefree_part",
     "squarefree_decomposition",
+    "real_root_count",
 ]
 
 
@@ -588,83 +588,49 @@ def compound_matrix(M: IntMatrix, r: int) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# gcd and squarefree structure (used by the numeric validation/oracle layers)
+# gcd, squarefree structure and real-root counts
+#
+# One integer pseudo-remainder sequence serves all of them.  ``_prem`` scales
+# the dividend by a power of |lc(b)| so that every step of IntPoly.__divmod__
+# is exact, then divides out the positive content; signs are kept, so the
+# same sequence is a Sturm chain.  Dividing by a primitive gcd is exact over
+# the integers by Gauss's lemma.
 
-def _frac(f: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in f.coeffs]
-
-
-def _fr_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fr_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError
-    rem = list(a)
-    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(rem) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] * inv
-        if c == 0:
-            continue
-        q[i] = c
-        for j, bb in enumerate(b):
-            rem[i + j] -= c * bb
-    return _fr_trim(q), _fr_trim(rem)
-
-
-def _fr_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _fr_trim(list(a)), _fr_trim(list(b))
-    while b:
-        _, r = _fr_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]  # monic normalization
-    return a
-
-
-def _fr_derivative(a: list[Fraction]) -> list[Fraction]:
-    return _fr_trim([i * c for i, c in enumerate(a)][1:])
-
-
-def _fr_to_primitive(a: list[Fraction]) -> IntPoly:
-    if not a:
-        return IntPoly()
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
+def _primitive(f: IntPoly) -> IntPoly:
+    """f divided by its positive content (the gcd of its coefficients)."""
     content = 0
-    for c in ints:
+    for c in f.coeffs:
         content = gcd(content, c)
-    if ints[-1] < 0:
-        content = -content
-    return IntPoly([c // content for c in ints])
+    return IntPoly([c // content for c in f.coeffs]) if content > 1 else f
+
+
+def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive part of the remainder of |lc(b)|^(deg a - deg b + 1) * a by b."""
+    _, r = divmod(a * abs(b.leading) ** (a.degree - b.degree + 1), b)
+    return _primitive(r)
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Greatest common divisor over the integers, primitive with positive
-    leading coefficient."""
-    if a.is_zero():
-        return _fr_to_primitive(_frac(b))
-    if b.is_zero():
-        return _fr_to_primitive(_frac(a))
-    return _fr_to_primitive(_fr_gcd(_frac(a), _frac(b)))
+    leading coefficient.
+
+    >>> poly_gcd(IntPoly([-2, 1, 1]), IntPoly([-4, 0, 2]))   # (T-1)(T+2), 2(T^2-2)
+    IntPoly('1')
+    """
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, _prem(a, b)
+    g = _primitive(a)
+    return -g if g.coeffs and g.leading < 0 else g
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
     """The product of the distinct irreducible factors of f (primitive)."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return IntPoly([1])
-    g = poly_gcd(f, f.derivative())
-    q, _ = _fr_divmod(_frac(f), _frac(g))
-    return _fr_to_primitive(q)
+    # the gcd with zero makes the quotient primitive with positive leading coefficient
+    return poly_gcd(f // poly_gcd(f, f.derivative()), IntPoly())
 
 
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -676,23 +642,50 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return []
-    fa = _frac(f)
-    da = _fr_derivative(fa)
-    a = _fr_gcd(fa, da)
-    b, _ = _fr_divmod(fa, a)
-    c, _ = _fr_divmod(da, a)
-    d = _fr_trim([x - y for x, y in itertools.zip_longest(c, _fr_derivative(b), fillvalue=Fraction(0))])
+    df = f.derivative()
+    a = poly_gcd(f, df)
+    b = f // a
+    d = df // a - b.derivative()
     out: list[tuple[IntPoly, int]] = []
     i = 1
-    while len(b) > 1:
-        g = _fr_gcd(b, d)
-        if len(g) > 1:
-            out.append((_fr_to_primitive(g), i))
-        b, _ = _fr_divmod(b, g)
-        c, _ = _fr_divmod(d, g)
-        d = _fr_trim([x - y for x, y in itertools.zip_longest(c, _fr_derivative(b), fillvalue=Fraction(0))])
+    while b.degree > 0:
+        g = poly_gcd(b, d)
+        if g.degree > 0:
+            out.append((g, i))
+        b = b // g
+        d = d // g - b.derivative()
         i += 1
     assert sum(g.degree * e for g, e in out) == f.degree
     return out
+
+
+def _sign_changes(chain: list[IntPoly], x: int) -> int:
+    signs = [v > 0 for v in (p(x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def real_root_count(f: IntPoly, lo: int, hi: int) -> int:
+    """Number of distinct real roots of f in the closed interval [lo, hi].
+
+    Roots at the endpoints are divided out and counted first; Sturm's theorem
+    counts the rest as the drop in sign changes along f, f', -prem(f, f'), ...
+
+    >>> real_root_count(IntPoly([-2, 0, 1]) * IntPoly([1, 0, 1]), 0, 2)   # (T^2-2)(T^2+1)
+    1
+    >>> real_root_count(IntPoly([-4, 0, 1]) ** 2, -2, 2)   # (T-2)^2 (T+2)^2
+    2
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    if lo > hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    count = 0
+    for x in {lo, hi}:
+        count += f(x) == 0
+        while f(x) == 0:
+            f = f // IntPoly([-x, 1])
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-_prem(chain[-2], chain[-1]))
+    chain.pop()
+    return count + _sign_changes(chain, lo) - _sign_changes(chain, hi)

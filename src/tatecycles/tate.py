@@ -46,6 +46,8 @@ DISPLAY_N_CAP = 60
 # largest n_report tate_profile tabulates; at d = 2 the CLI report for
 # 10^5 degrees is already 19 MB of JSON
 N_REPORT_BUDGET = 10**5
+# largest dimension tate_profile reports on; d = 6 ran for minutes
+D_REPORT_BUDGET = 5
 NUMERIC_GUARD_MAX_H1_DEGREE = 16
 
 
@@ -82,9 +84,11 @@ def degree_bound(d: int, k: int) -> int:
     return lcm(*totient_bounded_set(comb(2 * d, 2 * k)))
 
 
-def _check_codim(d: int, k: int) -> None:
+def _check_codim(d: int, k: int, n: int = 1) -> None:
     if not 0 <= k <= d:
         raise ValueError(f"codimension k = {k} out of range 0..{d}")
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
 
 
 def _ratio_poly(w: WeilPoly, k: int) -> IntPoly:
@@ -117,9 +121,7 @@ def tate_dim(w: WeilPoly, k: int, n: int) -> int:
     >>> tate_dim(w, 1, 1), tate_dim(w, 1, 2)
     (4, 6)
     """
-    _check_codim(w.d, k)
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
+    _check_codim(w.d, k, n)
     mults = _unity_ratio_multiplicities(w, k)
     return sum(euler_phi(m) * e for m, e in mults if n % m == 0)
 
@@ -161,12 +163,15 @@ def tate_profile(w: WeilPoly, n_report: int | None = None) -> TateProfile:
     ``n_report`` controls how many extension degrees are tabulated per row;
     by default each row runs to its degree bound, capped at 60 for display.
     The stable data is always exact regardless of the cap.  An ``n_report``
-    above N_REPORT_BUDGET raises BudgetExceededError.
+    above N_REPORT_BUDGET or a dimension above D_REPORT_BUDGET raises
+    BudgetExceededError.
     """
     if n_report is not None and n_report < 1:
         raise ValueError("n_report must be >= 1")
     if n_report is not None and n_report > N_REPORT_BUDGET:
         raise BudgetExceededError(f"reports capped at n_max <= {N_REPORT_BUDGET}")
+    if w.d > D_REPORT_BUDGET:
+        raise BudgetExceededError(f"reports capped at dimension d <= {D_REPORT_BUDGET}")
     rows = []
     for k in range(w.d + 1):
         bound = degree_bound(w.d, k)
@@ -190,6 +195,12 @@ def _classify_distance(dist, threshold, band) -> bool:
     return dist < threshold
 
 
+@lru_cache(maxsize=32)
+def _h1_roots(f: IntPoly, precision_bits: int, work: int) -> tuple:
+    with mp.workprec(work):
+        return tuple(complex_roots(f, precision_bits))
+
+
 def tate_dim_numeric(w: WeilPoly, k: int, n: int, precision_bits: int = 200) -> int:
     """Brute-force oracle: find all H^1 roots numerically, enumerate the
     2k-element subsets, and count products with alpha_I^n = q^{kn}.
@@ -199,15 +210,14 @@ def tate_dim_numeric(w: WeilPoly, k: int, n: int, precision_bits: int = 200) -> 
     factor 2^{precision_bits/4} of that threshold.  Independent of the exact
     cyclotomic path: no compound matrices, no cyclotomic polynomials.
     """
-    _check_codim(w.d, k)
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
+    _check_codim(w.d, k, n)
     if 2 * w.d > NUMERIC_GUARD_MAX_H1_DEGREE:
         raise ValueError(f"subset enumeration guard: 2d must be <= {NUMERIC_GUARD_MAX_H1_DEGREE}")
     coeff_bits = max(abs(c).bit_length() for c in w.poly.coeffs)
     work = precision_bits + coeff_bits + 2 * n * k * w.q.bit_length() + 64
+    work = -(-work // 256) * 256  # rounded up, so that (k, n) pairs share roots
     with mp.workprec(work):
-        roots = complex_roots(w.poly, precision_bits)
+        roots = _h1_roots(w.poly, precision_bits, work)
         target = mp.mpf(w.q) ** (k * n)
         threshold = mp.mpf(2) ** (-(precision_bits // 2)) * target
         band = mp.mpf(2) ** (precision_bits // 4)

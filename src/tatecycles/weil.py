@@ -7,9 +7,10 @@ modulus sqrt(q).  The classical reciprocal form prod(1 - alpha_i T) is the
 coefficient-reversed polynomial and is produced only at display time (see
 ``reciprocal_form``).
 
-Validation is a two-stage gate: the functional equation is checked exactly in
-integer arithmetic, and the root moduli are then checked numerically on the
-squarefree part at a fixed precision (DEFAULT_ROOT_PRECISION_BITS).
+Validation is exact.  The functional equation makes f(T) = T^d h(T + q/T),
+and every root of f has modulus sqrt(q) exactly when every root of h is real
+and in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya 2008), which a Sturm count decides in
+integers; only the ``complex_roots`` oracle uses floating point.
 
 The characteristic polynomials on H^r and the base changes to extensions are
 computed in integer arithmetic from power sums by Newton's identities; this
@@ -31,6 +32,7 @@ from .polycore import (
     factorization,
     from_power_sums,
     power_sums,
+    real_root_count,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -52,10 +54,6 @@ __all__ = [
     "reciprocal_form",
     "complex_roots",
 ]
-
-DEFAULT_ROOT_PRECISION_BITS = 128
-# absolute tolerance on |alpha|^2 - q, scaled by q
-ROOT_MODULUS_TOL_BITS = 64
 
 
 class WeilValidationError(ValueError):
@@ -99,16 +97,12 @@ class CohomPoly:
         return f"CohomPoly({self.poly.pretty()}, r={self.r}, q={self.q})"
 
 
-def _prime_power_split(q: int) -> tuple[int, int] | None:
-    """Return (p, e) with q = p^e, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    pe = factorization(q)
-    return pe[0] if len(pe) == 1 else None
-
-
-def _coeff_bits(f: IntPoly) -> int:
-    return max(abs(c).bit_length() for c in f.coeffs)
+def _characteristic(q: int) -> int:
+    """The prime p with q = p^e; raises NotPrimePower for any other q."""
+    pe = factorization(q) if q >= 2 else ()
+    if len(pe) != 1:
+        raise WeilValidationError("NotPrimePower", f"q = {q} is not a prime power")
+    return pe[0][0]
 
 
 def complex_roots(f: IntPoly, precision_bits: int):
@@ -124,7 +118,8 @@ def complex_roots(f: IntPoly, precision_bits: int):
         if g.degree == 0:
             continue
         desc = [mp.mpf(c) for c in reversed(g.coeffs)]
-        found = mpmath.polyroots(desc, maxsteps=200, extraprec=precision_bits + _coeff_bits(g))
+        extra = precision_bits + max(abs(c).bit_length() for c in g.coeffs)
+        found = mpmath.polyroots(desc, maxsteps=200, extraprec=extra)
         for r in found:
             roots.extend([mp.mpc(r)] * e)
     assert len(roots) == f.degree
@@ -132,13 +127,20 @@ def complex_roots(f: IntPoly, precision_bits: int):
 
 
 def _root_moduli_ok(f: IntPoly, q: int) -> bool:
-    work = DEFAULT_ROOT_PRECISION_BITS + _coeff_bits(f) + 2 * q.bit_length() + 32
-    with mp.workprec(work):
-        sf = squarefree_part(f)
-        desc = [mp.mpf(c) for c in reversed(sf.coeffs)]
-        roots = mpmath.polyroots(desc, maxsteps=200, extraprec=work)
-        tol = mp.mpf(2) ** (-ROOT_MODULUS_TOL_BITS) * q
-        return all(abs(abs(mp.mpc(r)) ** 2 - q) <= tol for r in roots)
+    # Read h with f(T) = T^d h(T + q/T) off the top half of f, highest
+    # coefficient first: T^d (T + q/T)^k = sum_i C(k, i) q^i T^(d+k-2i).
+    d = f.degree // 2
+    top = list(f.coeffs[d:])
+    h = [0] * (d + 1)
+    for k in range(d, -1, -1):
+        h[k] = top[k]
+        for i in range(1, k // 2 + 1):
+            top[k - 2 * i] -= h[k] * comb(k, i) * q**i
+    # With h(x) = E(x^2) + x O(x^2), H(u) = E(u)^2 - u O(u)^2 has the roots
+    # x_i^2 of h, and x_i is real with |x_i| <= 2 sqrt(q) iff x_i^2 is in [0, 4q].
+    E, O = IntPoly(h[0::2]), IntPoly(h[1::2])
+    sf = squarefree_part(E * E - IntPoly([0, 1]) * O * O)
+    return real_root_count(sf, 0, 4 * q) == sf.degree
 
 
 def validate_weil(f: IntPoly, q: int) -> WeilPoly:
@@ -146,16 +148,13 @@ def validate_weil(f: IntPoly, q: int) -> WeilPoly:
 
     Checks, in order: q is a prime power, f is monic of positive even degree,
     constant term q^d, the exact functional equation
-    T^{2d} f(q/T) = q^d f(T), and numerically that every root has modulus
-    sqrt(q).
+    T^{2d} f(q/T) = q^d f(T), and that every root has modulus sqrt(q), by
+    an exact Sturm count on the real-root polynomial h of f.
 
     >>> validate_weil(IntPoly([5, 0, 1]), 5).d
     1
     """
-    pe = _prime_power_split(q)
-    if pe is None:
-        raise WeilValidationError("NotPrimePower", f"q = {q} is not a prime power")
-    p, _ = pe
+    p = _characteristic(q)
     if f.is_zero() or not f.is_monic():
         raise WeilValidationError("NotMonic", "leading coefficient must be 1")
     if f.degree < 2 or f.degree % 2:
@@ -181,12 +180,10 @@ def validate_weil(f: IntPoly, q: int) -> WeilPoly:
 def weil_from_trace(a: int, q: int) -> WeilPoly:
     """The elliptic Weil polynomial T^2 - aT + q; the Hasse bound a^2 <= 4q is
     checked exactly, so no numerics are involved."""
-    pe = _prime_power_split(q)
-    if pe is None:
-        raise WeilValidationError("NotPrimePower", f"q = {q} is not a prime power")
+    p = _characteristic(q)
     if a * a > 4 * q:
         raise WeilValidationError("RootModulusFails", f"|{a}| exceeds the Hasse bound 2*sqrt({q})")
-    return WeilPoly(poly=IntPoly([q, -a, 1]), q=q, p=pe[0], d=1)
+    return WeilPoly(poly=IntPoly([q, -a, 1]), q=q, p=p, d=1)
 
 
 def product_variety(a: WeilPoly, b: WeilPoly) -> WeilPoly:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tatecycles import cli
+from tatecycles.polycore import IntPoly
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +327,28 @@ def test_budget_exit_code(capsys, argv):
     assert "budget exceeded" in err
 
 
+def test_tate_dimension_budget_exit_code(capsys):
+    # (T^2 + 5)^6, a d = 6 product: the degree bounds alone took minutes
+    poly = ",".join(str(c) for c in (IntPoly([5, 0, 1]) ** 6).coeffs)
+    code, out, err = run_cli(capsys, "tate", "--poly", poly, "--q", "5", "--json")
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize("precision", ["0", "-5", "1", "99"])
+def test_bounds_precision_floor(capsys, precision):
+    # below 100 bits the 30 printed digits were wrong (log_value 4.0 at 0)
+    code, out, err = run_cli(
+        capsys, "bounds", "B", "--N", "2", "--nk", "1", "--m", "1", "--d", "1", "--precision", precision, "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--precision" in err
+    report = run_json(capsys, "bounds", "B", "--N", "2", "--nk", "1", "--m", "1", "--d", "1", "--precision", "100")
+    assert report["rows"][0]["exact_value"] == "16"
+
+
 def test_factor_budget_edge_resolves(capsys):
     # a prime just below 10^12 is still certified: T^2 + q over F_q
     report = run_json(capsys, "tate", "--poly", "999999000001,0,1", "--q", "999999000001")
@@ -372,6 +395,15 @@ def _assert_contract(argv):
 def test_fuzz_tate_q(q, constant):
     poly = f"{q},0,1" if constant else "1,0,1"
     _assert_contract(["tate", "--poly", poly, "--q", str(q), "--json"])
+
+
+@_FUZZ
+@given(
+    coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=14),
+    q=st.sampled_from([2, 5, 9, 49, 97]),
+)
+def test_fuzz_tate_poly(coeffs, q):
+    _assert_contract(["tate", "--poly", ",".join(map(str, coeffs)), "--q", str(q), "--json"])
 
 
 @_FUZZ

@@ -4,7 +4,7 @@ compound matrices, with the stated independent oracles."""
 import itertools
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 from mpmath import mp
@@ -30,6 +30,7 @@ from tatecycles.polycore import (
     parse_poly,
     poly_gcd,
     power_sums,
+    real_root_count,
     squarefree_decomposition,
     squarefree_part,
 )
@@ -395,6 +396,70 @@ def test_squarefree_decomposition_random_reconstruction():
         # equal up to content: compare after clearing the leading coefficients
         assert rebuilt.degree == f.degree
         assert f * rebuilt.leading == rebuilt * f.leading
+
+
+def _random_factor(rng):
+    return IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.choice([1, 2, 3])])
+
+
+def test_poly_gcd_random_products():
+    # g divides a and b with coprime cofactors: that characterises the gcd
+    rng = random.Random(23)
+    for _ in range(200):
+        common = IntPoly([rng.choice([1, 2, 6])])
+        for _ in range(rng.randint(0, 2)):
+            common = common * _random_factor(rng)
+        a, b = common, common
+        for _ in range(rng.randint(0, 3)):
+            a = a * _random_factor(rng)
+        for _ in range(rng.randint(0, 3)):
+            b = b * _random_factor(rng)
+        g = poly_gcd(a, b)
+        content = 0
+        for c in g.coeffs:
+            content = gcd(content, c)
+        assert content == 1 and g.leading > 0
+        g // poly_gcd(common, IntPoly())  # the primitive part of the common factor divides g
+        assert poly_gcd(a // g, b // g) == IntPoly([1])
+        assert poly_gcd(b, a) == g
+
+
+def _irreducible_quadratic(rng):
+    while True:
+        b, c = rng.randint(-6, 6), rng.randint(-9, 9)
+        disc = b * b - 4 * c
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return b, c
+
+
+def test_real_root_count_matches_brute_force():
+    # products of integer linear factors and irreducible quadratics, with
+    # repeats; the real roots of T^2 + bT + c are (-b +- sqrt(disc)) / 2
+    rng = random.Random(24)
+    for _ in range(300):
+        f = IntPoly([rng.choice([1, -1, 3])])
+        roots: set = set()
+        for _ in range(rng.randint(0, 4)):
+            r = rng.randint(-6, 6)
+            f = f * IntPoly([-r, 1]) ** rng.randint(1, 3)
+            roots.add(r)
+        for _ in range(rng.randint(0, 2)):
+            b, c = _irreducible_quadratic(rng)
+            f = f * IntPoly([c, b, 1]) ** rng.randint(1, 2)
+            disc = b * b - 4 * c
+            if disc > 0:
+                roots |= {(-b + sign * disc**0.5) / 2 for sign in (1, -1)}
+        lo = rng.randint(-7, 7)
+        hi = lo + rng.randint(0, 8)
+        expected = sum(lo <= r <= hi for r in roots)
+        assert real_root_count(f, lo, hi) == expected, (f, lo, hi)
+
+
+def test_real_root_count_rejects_bad_input():
+    with pytest.raises(ValueError):
+        real_root_count(IntPoly(), 0, 1)
+    with pytest.raises(ValueError):
+        real_root_count(IntPoly([-1, 1]), 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from mpmath import mp
 from conftest import instance_suite, random_weil
 from tatecycles.polycore import BudgetExceededError, IntPoly, euler_phi
 from tatecycles.tate import (
+    D_REPORT_BUDGET,
     N_REPORT_BUDGET,
     PrecisionInsufficientError,
     _classify_distance,
@@ -252,3 +253,13 @@ def test_tate_profile_report_budget():
     assert [len(row.dims) for row in rows] == [N_REPORT_BUDGET, N_REPORT_BUDGET]
     with pytest.raises(BudgetExceededError):
         tate_profile(e, n_report=N_REPORT_BUDGET + 1)
+
+
+def test_tate_profile_dimension_budget():
+    e = weil_from_trace(1, 3)
+    w = e
+    for _ in range(D_REPORT_BUDGET):
+        w = product_variety(w, e)
+    assert w.d == D_REPORT_BUDGET + 1
+    with pytest.raises(BudgetExceededError):
+        tate_profile(w)

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from math import comb, isqrt
 
+import mpmath
 import pytest
 from mpmath import mp
 
 from conftest import instance_suite, random_weil
-from tatecycles.polycore import IntPoly, charpoly, companion, compound_matrix
+from tatecycles.polycore import IntPoly, charpoly, companion, compound_matrix, factorization
 from tatecycles.weil import (
     WeilValidationError,
     base_change,
@@ -85,10 +87,107 @@ def test_weil_from_trace_matches_validate():
 
 
 def test_validate_repeated_root_input():
-    # (T^2+5)^2 given directly: the squarefree reduction keeps the numeric
-    # gate accurate on repeated roots
+    # (T^2+5)^2 given directly: the exact gate takes the squarefree part of
+    # the real-root polynomial, so repeated roots are counted once
     w = validate_weil(IntPoly([25, 0, 10, 0, 1]), 5)
     assert w.d == 2
+
+
+def _gate_accepts(f: IntPoly, q: int) -> bool:
+    try:
+        validate_weil(f, q)
+    except WeilValidationError as err:
+        assert err.reason == "RootModulusFails", err
+        return False
+    return True
+
+
+def _from_real_root_poly(h: list[int], q: int) -> IntPoly:
+    # T^d h(T + q/T) for h = h[0] + h[1] x + ... + h[d] x^d: it always
+    # satisfies the functional equation
+    d = len(h) - 1
+    f = IntPoly()
+    for k, b in enumerate(h):
+        t = [0] * (2 * d + 1)
+        for i in range(k + 1):
+            t[d + k - 2 * i] += comb(k, i) * q**i
+        f = f + IntPoly(t) * b
+    return f
+
+
+@pytest.mark.parametrize(
+    "coeffs, q",
+    [
+        ([25, -10, 1], 25),  # (T - 5)^2: root sqrt(q) itself, trace 2s
+        ([25, 10, 1], 25),  # (T + 5)^2, trace -2s
+        ([49, -14, 1], 49),
+        ([7, 0, 1], 7),  # T^2 + q
+        ([49, 0, -14, 0, 1], 7),  # (T^2 - q)^2 with q not a square: real roots +-sqrt(7)
+        ([125, 0, 75, 0, 15, 0, 1], 5),  # (T^2 + 5)^3: repeated roots
+        ([625, -500, 150, -20, 1], 25),  # (T - 5)^4
+        ([25, 0, -10, 0, 1], 5),  # (T^2 - 5)^2: h = x^2 - 4q, roots at +-2 sqrt(q)
+    ],
+)
+def test_gate_accepts_endpoint_and_repeated_roots(coeffs, q):
+    assert _gate_accepts(IntPoly(coeffs), q)
+
+
+@pytest.mark.parametrize(
+    "h, q",
+    [
+        ([-11, 1], 25),  # trace 2s + 1 over q = s^2
+        ([11, 1], 25),  # trace -(2s + 1)
+        ([-5, 1], 5),  # trace 5 > 2 sqrt(5)
+        ([12, 0, 1], 5),  # x^2 + 12: complex roots of h
+        ([1, 1, 1], 7),  # x^2 + x + 1: complex roots of h
+        ([-21, 0, 1], 5),  # x^2 - 21: real roots just outside [-sqrt(20), sqrt(20)]
+        ([0, -21, 0, 1], 5),  # x (x^2 - 21)
+        ([400, 0, -41, 0, 1], 5),  # (x^2 - 16)(x^2 - 25): one pair outside
+    ],
+)
+def test_gate_rejects_near_misses(h, q):
+    assert not _gate_accepts(_from_real_root_poly(h, q), q)
+
+
+def _moduli_oracle(f: IntPoly, q: int) -> bool:
+    with mp.workprec(260):
+        tol = mp.mpf(2) ** -100 * q
+        return all(abs(abs(r) ** 2 - q) <= tol for r in complex_roots(f, 200))
+
+
+def test_gate_matches_root_moduli_oracle():
+    # 2,000 polynomials satisfying the functional equation: half from
+    # products of elliptic factors with traces up to 2 beyond the Hasse
+    # interval, half from random real-root polynomials of the same size
+    rng = random.Random(21)
+    prime_powers = [q for q in range(2, 98) if len(factorization(q)) == 1]
+    accepted = 0
+    for _ in range(2000):
+        q = rng.choice(prime_powers)
+        d = rng.randint(1, 4)
+        s = 2 * isqrt(q) + 2
+        if rng.random() < 0.5:
+            h = IntPoly([1])
+            for _ in range(d):
+                h = h * IntPoly([-rng.randint(-s, s), 1])
+            h = list(h.coeffs)
+        else:
+            h = [rng.randint(-comb(d, k) * s ** (d - k), comb(d, k) * s ** (d - k)) for k in range(d)] + [1]
+        f = _from_real_root_poly(h, q)
+        verdict = _gate_accepts(f, q)
+        assert verdict == _moduli_oracle(f, q), (h, q)
+        accepted += verdict
+    assert 500 < accepted < 1500
+
+
+def test_validate_weil_calls_no_numerics(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Weil gate called mpmath.polyroots")
+
+    monkeypatch.setattr(mpmath, "polyroots", refuse)
+    for w in instance_suite(30, d_max=4, seed=22):
+        assert validate_weil(w.poly, w.q) == w
+    assert not _gate_accepts(IntPoly([5, -6, 1]), 5)
 
 
 # ---------------------------------------------------------------------------
