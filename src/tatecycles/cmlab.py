@@ -6,14 +6,15 @@ least-non-split primes, and prime-ideal counts for imaginary and real
 quadratic fields.
 
 Frobenius traces for the nine class-number-one CM discriminants come from
-Cornacchia-style representations; only |a_p| is used, since all of the
-degree-2 eigenvalue products feeding the E x E ranks are invariant under
-negating both H^1 roots.  Naive point counting over F_p provides the
-independent trace oracle.
+the Cornacchia representation 4p = x^2 + |D| y^2; only |a_p| is used, since
+all of the degree-2 eigenvalue products feeding the E x E ranks are
+invariant under negating both H^1 roots.  Naive point counting over F_p
+provides the independent trace oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import isqrt, prod
 
@@ -75,15 +76,6 @@ def primes_up_to(n: int) -> list[int]:
             start = p * p
             sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
     return [i for i, v in enumerate(sieve) if v]
-
-
-def _prime_stream():
-    yield 2
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -202,28 +194,9 @@ def _sqrt_mod_p(a: int, p: int) -> int:
     return x
 
 
-def _cornacchia(d: int, p: int) -> tuple[int, int]:
-    """Solve x^2 + d y^2 = p for an odd prime p with (-d|p) = 1, d >= 1."""
-    r = _sqrt_mod_p(-d % p, p)
-    if 2 * r < p:
-        r = p - r
-    a, b = p, r
-    limit = isqrt(p)
-    while b > limit:
-        a, b = b, a % b
-    t = p - b * b
-    if t % d:
-        raise InternalError(f"no representation x^2 + {d}y^2 = {p}")
-    y2 = t // d
-    y = isqrt(y2)
-    if y * y != y2:
-        raise InternalError(f"no representation x^2 + {d}y^2 = {p}")
-    return b, y
-
-
-def _cornacchia_4p(D: int, p: int) -> tuple[int, int]:
+def _cornacchia(D: int, p: int) -> tuple[int, int]:
     """Solve x^2 + |D| y^2 = 4p for fundamental D < 0 and an odd prime p that
-    splits in Q(sqrt(D))."""
+    splits in Q(sqrt(D)) (Cohen, Alg. 1.5.3); x, y >= 0."""
     r = _sqrt_mod_p(D % p, p)
     if (r - D) % 2:
         r = p - r  # parity so that r^2 = D mod 4p
@@ -324,8 +297,9 @@ def ap_cm(D: int, p: int) -> tuple[str, int]:
     Inert primes are supersingular with a_p = 0.  Split primes are ordinary;
     |a_p| comes from the Cornacchia representation 4p = x^2 + |D| y^2, with
     the unit ambiguity for D = -4 and D = -3 resolved to the curves
-    y^2 = x^3 + x and y^2 = x^3 + 1 (the odd component of p = x^2 + y^2,
-    respectively the representation p = a^2 + 3 b^2).
+    y^2 = x^3 + x and y^2 = x^3 + 1: for D = -4, p = (x/2)^2 + y^2 and |a_p|
+    is twice the odd one of x/2 and y; for D = -3, |a_p| is the even one of
+    x, (x + 3y)/2 and (x - 3y)/2.
     """
     if D not in CLASS_NUMBER_ONE_DISCS:
         raise ValueError(f"D must be one of {CLASS_NUMBER_ONE_DISCS}")
@@ -333,18 +307,15 @@ def ap_cm(D: int, p: int) -> tuple[str, int]:
         raise ValueError(f"{p} is not prime")
     if (2 * D) % p == 0:
         raise ValueError(f"p = {p} divides 2D")
-    chi = kronecker(D, p)
-    if chi == -1:
+    # D is fundamental and p prime, so the symbol is the splitting of p
+    if kronecker_symbol(D, p) == -1:
         return "supersingular", 0
+    x, y = _cornacchia(D, p)
     if D == -4:
-        x, y = _cornacchia(1, p)
-        odd = x if x % 2 else y
-        a = 2 * odd
+        a = x if x // 2 % 2 else 2 * y
     elif D == -3:
-        x, _ = _cornacchia(3, p)
-        a = 2 * x
+        a = next(abs(t) for t in (x, (x + 3 * y) // 2, (x - 3 * y) // 2) if t % 2 == 0)
     else:
-        x, _ = _cornacchia_4p(D, p)
         a = x
     if a * a > 4 * p:
         raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
@@ -418,7 +389,7 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
     rows = []
     n_split = n_inert = n_excluded = n_rank4 = n_rank6 = 0
     for p in primes_up_to(p_max):
-        chi = kronecker(D, p)
+        chi = kronecker_symbol(D, p)  # D is fundamental and p prime
         if p in (2, 3) or D % p == 0:
             rows.append(SurveyRow(p, chi, None, "bad-or-excluded", None, None, None))
             n_excluded += 1
@@ -511,7 +482,7 @@ def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitR
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     found = None
-    for p in _prime_stream():
+    for p in itertools.chain((2,), filter(is_prime, itertools.count(3, 2))):
         if kronecker_symbol(D, p) == -1:
             found = p
             break

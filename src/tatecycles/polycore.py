@@ -304,11 +304,6 @@ def divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
-# Entries with index up to this bound are memoized; the lru_cache lock gives
-# one consistent value per entry under concurrent access.
-CYCLOTOMIC_CACHE_MAX = 10_000
-
-
 def cyclotomic(m: int) -> IntPoly:
     """The m-th cyclotomic polynomial, monic of degree phi(m).
 
@@ -320,22 +315,14 @@ def cyclotomic(m: int) -> IntPoly:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if m <= CYCLOTOMIC_CACHE_MAX:
-        return _cyclotomic_cached(m)
-    return _cyclotomic_of(m)
+    return _cyclotomic_cached(m)
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_cached(m: int) -> IntPoly:
-    return _cyclotomic_of(m)
-
-
-def _cyclotomic_of(m: int) -> IntPoly:
     f = IntPoly([-1] + [0] * (m - 1) + [1])
-    for d in divisors(m):
-        if d == m:
-            continue
-        f, rem = divmod(f, cyclotomic(d))
+    for d in divisors(m)[:-1]:
+        f, rem = divmod(f, _cyclotomic_cached(d))
         assert rem.is_zero()
     return f
 

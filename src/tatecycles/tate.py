@@ -60,14 +60,15 @@ class PrecisionInsufficientError(ArithmeticError):
 def totient_bounded_set(bound: int) -> tuple[int, ...]:
     """All m >= 1 with phi(m) <= bound, ascending.
 
-    phi(m) >= sqrt(m/2) for every m, so scanning m <= 2*bound^2 is exhaustive.
+    phi(m) >= sqrt(m) for every m except 2 and 6, so scanning
+    m <= max(bound^2, 6) is exhaustive.
 
     >>> totient_bounded_set(2)
     (1, 2, 3, 4, 6)
     """
     if bound < 1:
         return ()
-    return tuple(m for m in range(1, 2 * bound * bound + 1) if euler_phi(m) <= bound)
+    return tuple(m for m in range(1, max(bound * bound, 6) + 1) if euler_phi(m) <= bound)
 
 
 def degree_bound(d: int, k: int) -> int:

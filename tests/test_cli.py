@@ -252,6 +252,48 @@ def test_bounds_missing_parameter(capsys):
 # ---------------------------------------------------------------------------
 # cm
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["survey", "--disc", "-3", "--pmax", "3000"],
+         "44a126a1235ecb0cba2557ad0c80c3392832bba93b57fbe676e9a998be7549e9"),
+        (["survey", "--disc", "-4", "--pmax", "3000"],
+         "76c802bda655b8b70cc5cb1c26bc3f1fa5e6e258e9a062cfcb060e79207c1333"),
+        (["survey", "--disc", "-7", "--pmax", "3000"],
+         "14647aec1273ea55a0ab0b3ec8e135ce5ed455eadc0d1546eeb261f9714c6245"),
+        (["survey", "--disc", "-8", "--pmax", "3000"],
+         "f6af9f9f3a39bea2487514f92a3aa1f968803a60d0c91c207d8eba28790ffcb1"),
+        (["survey", "--disc", "-11", "--pmax", "3000"],
+         "9a8526ce84931f29b3831cc0e9bfa5e6a0de12774b195917e4f2b1225a5a470f"),
+        (["survey", "--disc", "-19", "--pmax", "3000"],
+         "7931c1167e4dad14574f57137030af445363ea1c6c2d2f55969e9af88cff859c"),
+        (["survey", "--disc", "-43", "--pmax", "3000"],
+         "6bc8df4549c2720505ef267af3a13fafe49995a6076c0e8061e894be9fa655e0"),
+        (["survey", "--disc", "-67", "--pmax", "3000"],
+         "6dbce25e6a24949bb205f93c8c45e3862ee8bdd128ea9dbfa45a7e55d2dd5da8"),
+        (["survey", "--disc", "-163", "--pmax", "3000"],
+         "a4b2dd1f44c5eb8a9169fb17c3bcbb3a6e8ec00e086d1523fe66f2cfbfbdc211"),
+        (["noncm", "--curve", "0,0,1,-1,0", "--pmax", "1000"],
+         "2d350eddfabdf4da791bd35dc5990947022440d32cbd724ee8ed1613bbd2651c"),
+        (["nonsplit", "--disc", "-4"],
+         "d4a37e656a8cf65fc8996a92b2b4f81b6eaf65340cf64c8a0bb7bf1b2e3a62cd"),
+        (["nonsplit", "--disc", "-3"],
+         "eb0e8a278701452bbbc0e54fc65f7a423f15813421e8caa4ce5161ac0904a319"),
+        (["nonsplit", "--disc", "5"],
+         "84d91e9fe8c6ed687c71198e83644f1a263bf1e36159db337513f6bd62ce3119"),
+        (["pik", "--disc", "-4", "--x", "10000"],
+         "8ce5ba5fee903de4490aa5582509890076e744fe1bc0cfd8d152079e41a87c32"),
+    ],
+)
+def test_cm_reports_pinned(capsys, argv, digest):
+    # every cm subcommand and all nine survey discriminants, digests taken
+    # before the Cornacchia and splitting code was rewritten; the traces,
+    # splittings and ranks of every row must not move
+    code, out, err = run_cli(capsys, "cm", *argv, "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_cm_survey_rows(capsys):
     report = run_json(capsys, "cm", "survey", "--disc", "-4", "--pmax", "100")
     rows = [r for r in report["rows"] if "p" in r]

@@ -147,6 +147,14 @@ def test_cyclotomic_degree_is_phi():
         assert cyclotomic(m).degree == euler_phi(m)
 
 
+def test_cyclotomic_large_prime_is_cached_all_ones():
+    # Phi_p = 1 + T + ... + T^(p-1) for a prime p, memoised at any size
+    phi = cyclotomic(10007)
+    assert phi == IntPoly([1] * 10007)
+    assert phi.degree == 10006
+    assert cyclotomic(10007) is phi
+
+
 def test_cyclotomic_multiplicity_examples():
     f = IntPoly([-1, 1]) ** 2 * IntPoly([1, 1])  # (T-1)^2 (T+1)
     assert cyclotomic_multiplicity(f, 1) == 2

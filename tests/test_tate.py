@@ -90,18 +90,33 @@ def test_degree_bound_examples():
     assert degree_bound(2, 1) == 2520
 
 
-def test_degree_bound_against_independent_totient_scan():
-    # recompute {m : phi(m) <= 6} with a sieve-style totient table
-    limit = 20000
+def _totient_table(limit):
+    """phi(0..limit) by a sieve, independent of polycore.euler_phi."""
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
         if phi[p] == p:  # p prime
             for mult in range(p, limit + 1, p):
                 phi[mult] -= phi[mult] // p
+    return phi
+
+
+def test_degree_bound_against_independent_totient_scan():
+    # recompute {m : phi(m) <= 6} with a sieve-style totient table
+    limit = 20000
+    phi = _totient_table(limit)
     ms = [m for m in range(1, limit + 1) if phi[m] <= 6]
     assert ms == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18]
     assert lcm(*ms) == 2520
     assert totient_bounded_set(6) == tuple(ms)
+
+
+def test_totient_bounded_set_against_scan_to_twice_bound_squared():
+    # phi(m) >= sqrt(m/2) for every m, so the scan to 2*B^2 is exhaustive;
+    # the library scans only to max(B^2, 6)
+    phi = _totient_table(2 * 100 * 100)
+    for bound in range(1, 101):
+        scan = tuple(m for m in range(1, 2 * bound * bound + 1) if phi[m] <= bound)
+        assert totient_bounded_set(bound) == scan, bound
 
 
 # ---------------------------------------------------------------------------
