@@ -137,6 +137,18 @@ def test_tate_d4_report_pinned(capsys):
     assert digest == "e7ecb75a0a5d63e888b06f42454cf2f0a76bc36bea6e27aa3fb1e4bf1e561606"
 
 
+def test_tate_d5_report_pinned(capsys):
+    # a d = 5 instance over F_7 (H^4 and H^6 have degree 210);
+    # the digest was taken before the cyclotomic scan gained its modular
+    # pre-test, so a factor the pre-test dropped would show here
+    code, out, _ = run_cli(
+        capsys, "tate", "--poly", "16807,7203,7203,2499,1715,486,245,51,21,3,1", "--q", "7", "--json"
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "6c5391950a3d410e4b76fe239313540e452a1839913e71864c9d03d86c3e3d86"
+
+
 # ---------------------------------------------------------------------------
 # bounds
 

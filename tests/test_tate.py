@@ -2,18 +2,29 @@
 oracle, and the property suite."""
 
 import random
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from mpmath import mp
 
 from conftest import instance_suite, random_weil
-from tatecycles.polycore import BudgetExceededError, IntPoly, euler_phi
+from tatecycles import polycore
+from tatecycles.polycore import (
+    BudgetExceededError,
+    IntPoly,
+    cyclotomic,
+    cyclotomic_multiplicity,
+    euler_phi,
+    factorization,
+)
 from tatecycles.tate import (
     D_REPORT_BUDGET,
     N_REPORT_BUDGET,
     PrecisionInsufficientError,
     _classify_distance,
+    _cyclotomic_scan,
+    _unity_ratio_multiplicities,
+    _witness_table,
     degree_bound,
     stable_tate_dim,
     tate_dim,
@@ -21,7 +32,7 @@ from tatecycles.tate import (
     tate_profile,
     totient_bounded_set,
 )
-from tatecycles.weil import base_change, product_variety, validate_weil, weil_from_trace
+from tatecycles.weil import base_change, h_charpoly, product_variety, validate_weil, weil_from_trace
 
 
 def _supersingular_exe(q=5):
@@ -117,6 +128,72 @@ def test_totient_bounded_set_against_scan_to_twice_bound_squared():
     for bound in range(1, 101):
         scan = tuple(m for m in range(1, 2 * bound * bound + 1) if phi[m] <= bound)
         assert totient_bounded_set(bound) == scan, bound
+
+
+def test_totient_bounded_set_size_at_d6_middle_row():
+    # binom(12, 6) = 924 bounds the H^6 ratio polynomial at d = 6
+    assert len(totient_bounded_set(924)) == 1791
+
+
+def test_degree_bound_feeds_no_factorization_cache():
+    before = polycore._factorization.cache_info().currsize
+    totient_bounded_set.cache_clear()
+    degree_bound(6, 3)
+    assert polycore._factorization.cache_info().currsize - before < 1000
+
+
+# ---------------------------------------------------------------------------
+# the cyclotomic scan: modular pre-test, then exact division
+
+def _pocklington_prime(n, F):
+    """n is prime if F | n - 1, F^2 > n and, for each prime r | F, some a has
+    a^(n-1) = 1 and gcd(a^((n-1)/r) - 1, n) = 1 (Pocklington)."""
+    assert (n - 1) % F == 0 and F * F > n
+    for r, _ in factorization(F):
+        assert any(
+            pow(a, n - 1, n) == 1 and gcd(pow(a, (n - 1) // r, n) - 1, n) == 1 for a in range(2, 200)
+        ), (n, r)
+    return True
+
+
+def test_witness_table_bound_252():
+    table = _witness_table(252)
+    assert [m for _, witnesses in table for m, _ in witnesses] == list(totient_bounded_set(252))
+    for l, witnesses in table:
+        L = lcm(*(m for m, _ in witnesses))
+        assert L <= 2**40 and l > 2**61 and (l - 1) % L == 0
+        # the part of l - 1 made of primes below 10^4 is a factored F > sqrt(l)
+        F, cofactor = L, (l - 1) // L
+        for p in range(2, 10**4):
+            while cofactor % p == 0:
+                cofactor //= p
+                F *= p
+        assert _pocklington_prime(l, F)
+        for m, z in witnesses:
+            assert pow(z, m, l) == 1
+            assert all(pow(z, m // r, l) != 1 for r, _ in factorization(m))
+
+
+def _unfiltered_scan(w, k):
+    R = h_charpoly(w, 2 * k).poly.scale_variable(w.q**k)
+    mults = ((m, cyclotomic_multiplicity(R, m)) for m in totient_bounded_set(R.degree))
+    return tuple((m, e) for m, e in mults if e)
+
+
+def test_scan_matches_unfiltered_division():
+    for w in instance_suite(120, d_max=4, seed=24):
+        for k in range(w.d + 1):
+            assert _unity_ratio_multiplicities(w, k) == _unfiltered_scan(w, k), (w, k)
+
+
+def test_scan_finds_factors_in_different_batches():
+    # degree 70, so the witness table of bound 70 is the one used
+    batch_of = {m: i for i, (_, witnesses) in enumerate(_witness_table(70)) for m, _ in witnesses}
+    for m, m2 in ((7, 30), (12, 31), (2, 156), (36, 120), (45, 3), (1, 240)):
+        assert batch_of[m] != batch_of[m2]
+        f = cyclotomic(m) ** 2 * cyclotomic(m2)
+        f = f * IntPoly([-2, 1]) ** (70 - f.degree)
+        assert _cyclotomic_scan(f, 1) == tuple(sorted([(m, 2), (m2, 1)]))
 
 
 # ---------------------------------------------------------------------------
