@@ -5,11 +5,17 @@ unspecified are exposed as parameters (default 1) and echoed in every report,
 so the formulas are runnable without inventing constants.  Factorials and
 powers of two are exact integers; everything else is mpmath real arithmetic
 at a per-call working precision (default 256 bits).
+
+``least_nonsplit_bound`` caches, per (field, c, n, precision), everything
+that does not depend on d_L: c f(K), 5/(2(n-1)), log 55 and their echoed
+strings.  ln 2, the 4096-bit cap and the 1e-20 slack of ``exact_value`` are
+cached per precision.  All caches are bounded and filled on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from mpmath import mp
@@ -32,6 +38,7 @@ __all__ = [
 DEFAULT_PRECISION_BITS = 256
 EXACT_VALUE_MAX_BITS = 4096
 LOG_VALUE_DIGITS = 30
+_FLOOR_MARGIN = 2.0**-32
 
 _EXCEPTIONAL_FLAGS = ("yes", "no", "unknown")
 
@@ -65,7 +72,9 @@ class BoundReport:
 
     ``exact_value`` is the integer ceiling of the bound when it fits in 4096
     bits (adjusted to the floor in the rare case the ceiling is more than a
-    relative 1/exact_value away from the true value).
+    relative 1/exact_value away from the true value).  When c >= 2 and
+    c - e^L is below c/(c+1) by more than 2^-32, the ceiling c is certified
+    without a logarithm; only otherwise is the logarithmic floor test run.
     """
 
     name: str
@@ -93,14 +102,36 @@ def _fp_inputs(fp: FieldParams) -> list[tuple[str, str]]:
     ]
 
 
+@lru_cache(maxsize=16)
+def _log2_and_cap(prec: int):
+    """ln 2 and the 4096-bit cap on log_value, at the caller's precision."""
+    with mp.workprec(prec):
+        ln2 = mp.log(2)
+        return ln2, EXACT_VALUE_MAX_BITS * ln2
+
+
+@lru_cache(maxsize=64)
+def _floor_slack(prec: int):
+    with mp.workprec(prec):
+        return mp.mpf("1e-20")
+
+
 def _exact_value(log_value) -> int | None:
-    if log_value > EXACT_VALUE_MAX_BITS * mp.log(2):
+    ln2, cap = _log2_and_cap(mp.prec)
+    if log_value > cap:
         return None
-    need = int(log_value / mp.log(2)) + 80
+    need = int(log_value / ln2) + 80
     with mp.workprec(max(need, mp.prec)):
         v = mp.exp(mp.mpf(log_value))
         c = int(mp.ceil(v))
-        if c >= 1 and mp.log(c) - log_value > mp.mpf("1e-20") + mp.log1p(mp.mpf(1) / c):
+        # The floor test log(c) - L > 1e-20 + log1p(1/c) needs c - e^L > c/(c+1).
+        # The precision exceeds log2(c) + 78, so v is within 2^-66 of e^L and
+        # the test's rounding error is below 2^(14-prec); if c - v falls short
+        # of c/(c+1) by 2^-32, log(c) - L falls short of log1p(1/c) by more
+        # than 2^(44-prec) and the test is false.
+        if c >= 2 and (c - v) + _FLOOR_MARGIN < mp.mpf(c) / (c + 1):
+            return c
+        if c >= 1 and mp.log(c) - log_value > _floor_slack(mp.prec) + mp.log1p(mp.mpf(1) / c):
             c = int(mp.floor(v))
     return c
 
@@ -162,6 +193,27 @@ def hensel_galois_log_disc(
         return total
 
 
+@lru_cache(maxsize=64, typed=True)
+def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, precision_bits: int):
+    """The part of least_nonsplit_bound that does not depend on d_L: c f(K),
+    5/(2(n-1)), log 55 and the echoed inputs before and after log |d_L|.
+
+    ``field_types`` joins the key because FieldParams equality ignores the
+    types of its fields and the echoed strings do not (2 == 2.0, "2" != "2.0").
+    """
+    with mp.workprec(precision_bits):
+        fk = f_of_K(fp, precision_bits)
+        log_const = mp.log(55)
+        tail = (
+            ("n", str(n)),
+            ("c", mp.nstr(mp.mpf(c), LOG_VALUE_DIGITS)),
+            ("constants_pinned", "no"),  # c is an unspecified absolute constant
+            ("f_K", mp.nstr(fk, LOG_VALUE_DIGITS)),
+            ("branch_constant_log", mp.nstr(log_const, LOG_VALUE_DIGITS)),
+        )
+        return mp.mpf(c) * fk, mp.mpf(5) / (2 * (n - 1)), log_const, tuple(_fp_inputs(fp)), tail
+
+
 def least_nonsplit_bound(
     fp: FieldParams,
     log_d_L,
@@ -176,25 +228,23 @@ def least_nonsplit_bound(
     """
     if n < 2:
         raise ValueError("relative degree must be >= 2")
+    c_fk, slope, log_const, head, tail = _nonsplit_invariants(
+        fp, (type(fp.n_K), type(fp.log_abs_disc)), c, n, precision_bits
+    )
     with mp.workprec(precision_bits):
-        fk = f_of_K(fp, precision_bits)
-        log_formula = mp.mpf(c) * fk + mp.mpf(5) / (2 * (n - 1)) * mp.mpf(log_d_L)
-        log_const = mp.log(55)
+        ldl = mp.mpf(log_d_L)
+        log_formula = c_fk + slope * ldl
         active = "formula" if log_formula > log_const else "constant_55"
         log_value = log_formula if log_formula > log_const else log_const
-        inputs = _fp_inputs(fp) + [
-            ("log_abs_disc_L", mp.nstr(mp.mpf(log_d_L), LOG_VALUE_DIGITS)),
-            ("n", str(n)),
-            ("c", mp.nstr(mp.mpf(c), LOG_VALUE_DIGITS)),
-            ("constants_pinned", "no"),  # c is an unspecified absolute constant
-            ("f_K", mp.nstr(fk, LOG_VALUE_DIGITS)),
-            ("branch_constant_log", mp.nstr(log_const, LOG_VALUE_DIGITS)),
-            ("branch_formula_log", mp.nstr(log_formula, LOG_VALUE_DIGITS)),
-            ("active_branch", active),
-        ]
+        inputs = (
+            head
+            + (("log_abs_disc_L", mp.nstr(ldl, LOG_VALUE_DIGITS)),)
+            + tail
+            + (("branch_formula_log", mp.nstr(log_formula, LOG_VALUE_DIGITS)), ("active_branch", active))
+        )
         return BoundReport(
             name="least_nonsplit_bound",
-            inputs=tuple(inputs),
+            inputs=inputs,
             log_value=log_value,
             exact_value=_exact_value(log_value),
         )

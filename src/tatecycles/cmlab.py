@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt, prod
 
 import mpmath
@@ -75,7 +76,7 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -475,6 +476,12 @@ class NonSplitResult:
         return self.bound.log_value
 
 
+@lru_cache(maxsize=128)
+def _log_at(p: int, precision_bits: int):
+    with mp.workprec(precision_bits):
+        return mp.log(p)
+
+
 def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitResult:
     """Least unramified rational prime that does not split in Q(sqrt(D)),
     together with the theoretical norm bound (relative degree 2 over the
@@ -489,7 +496,7 @@ def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitR
     with mp.workprec(256):
         log_d_L = mp.log(abs(D))
         report = least_nonsplit_bound(fp, log_d_L, n=2, c=c)
-        satisfied = mp.log(found) <= report.log_value
+        satisfied = _log_at(found, 256) <= report.log_value
     return NonSplitResult(D=D, found_prime=found, bound=report, satisfied=bool(satisfied))
 
 

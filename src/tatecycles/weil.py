@@ -111,14 +111,15 @@ def complex_roots(f: IntPoly, precision_bits: int):
     Roots are found on the squarefree factors (so repeated roots do not
     degrade accuracy) and replicated according to the Yun multiplicities.
     Must be called inside an mp.workprec context at least as wide as
-    ``precision_bits``.
+    ``precision_bits``; polyroots adds only the coefficient bit length to
+    that context, which already carries ``precision_bits``.
     """
     roots = []
     for g, e in squarefree_decomposition(f):
         if g.degree == 0:
             continue
         desc = [mp.mpf(c) for c in reversed(g.coeffs)]
-        extra = precision_bits + max(abs(c).bit_length() for c in g.coeffs)
+        extra = max(abs(c).bit_length() for c in g.coeffs)
         found = mpmath.polyroots(desc, maxsteps=200, extraprec=extra)
         for r in found:
             roots.extend([mp.mpc(r)] * e)

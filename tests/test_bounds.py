@@ -4,6 +4,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from tatecycles.bounds import (
@@ -16,6 +18,7 @@ from tatecycles.bounds import (
     bound_B,
     bound_C,
 )
+from tatecycles.bounds import _exact_value
 
 
 def _rel_close(a, b, rel="1e-10"):
@@ -267,3 +270,121 @@ def test_report_serialization_shape():
     assert set(record) == {"name", "inputs", "log_value", "exact_value"}
     assert isinstance(record["log_value"], str)
     assert record["exact_value"] == "16"
+
+
+# ---------------------------------------------------------------------------
+# exact_value against the logarithmic floor test it short-cuts
+
+EXACT_VALUE_MAX_BITS = 4096
+
+
+def _exact_value_reference(log_value) -> int | None:
+    if log_value > EXACT_VALUE_MAX_BITS * mp.log(2):
+        return None
+    need = int(log_value / mp.log(2)) + 80
+    with mp.workprec(max(need, mp.prec)):
+        v = mp.exp(mp.mpf(log_value))
+        c = int(mp.ceil(v))
+        if c >= 1 and mp.log(c) - log_value > mp.mpf("1e-20") + mp.log1p(mp.mpf(1) / c):
+            c = int(mp.floor(v))
+    return c
+
+
+_PRECISIONS = st.sampled_from([100, 256, 300, 512, 1024])
+_EXACT = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+def _log_at(x, work: int, prec: int):
+    """log of x(), a real built at ``work`` bits (enough to hold it exactly),
+    rounded to prec bits like every log_value the bounds produce."""
+    with mp.workprec(work):
+        L = mp.log(x())
+    with mp.workprec(prec):
+        return +L
+
+
+def _same_exact_value(L, prec: int) -> int | None:
+    with mp.workprec(prec):
+        want = _exact_value_reference(L)
+        assert _exact_value(L) == want, (mp.nstr(L, 40), prec)
+    return want
+
+
+@_EXACT
+@given(prec=_PRECISIONS, num=st.integers(-3 * 2**80, 2840 * 2**80))
+def test_exact_value_matches_reference_on_random_logs(prec, num):
+    with mp.workprec(prec):
+        L = mp.mpf(num) / 2**80
+    _same_exact_value(L, prec)
+
+
+@_EXACT
+@given(
+    prec=_PRECISIONS,
+    k=st.integers(1, 10**6) | st.integers(1, 2**4090),
+    shape=st.sampled_from(["k", "k+", "k-", "k+t/(k+1)", "k+t/(k+2)"]),
+    j=st.integers(1, 1100),
+    s=st.integers(-1, 1),
+)
+def test_exact_value_matches_reference_near_integers(prec, k, shape, j, s):
+    # log(k), log(k +- 2^-j) and log(k + t/(k+1)), log(k + t/(k+2)) with
+    # t = 1 + s 2^-j; the floor test flips at e^L = k + 1/(k+2)
+    def x():
+        tiny = mp.ldexp(1, -j)
+        t = 1 + s * tiny
+        return {
+            "k": mp.mpf(k),
+            "k+": k + tiny,
+            "k-": k - tiny,
+            "k+t/(k+1)": k + t / (k + 1),
+            "k+t/(k+2)": k + t / (k + 2),
+        }[shape]
+
+    _same_exact_value(_log_at(x, prec + j + k.bit_length() + 64, prec), prec)
+
+
+@pytest.mark.parametrize("prec", [100, 256, 300, 512, 1024])
+def test_exact_value_matches_reference_at_c1_c2_edges(prec):
+    # c = 1 moves to the floor below e^L = 1/2, c = 2 below 4/3; c = 3 below 9/4
+    floors = 0
+    for num, den in ((1, 2), (1, 1), (4, 3), (2, 1), (9, 4), (3, 1)):
+        for j in (2, 10, 40, 70, 200, prec - 2, prec + 40):
+            for s in (-1, 0, 1):
+                x = lambda: mp.mpf(num) / den * (1 + s * mp.ldexp(1, -j))  # noqa: E731
+                got = _same_exact_value(_log_at(x, prec + j + 64, prec), prec)
+                with mp.workprec(prec + j + 64):
+                    floors += got < x()
+    assert floors  # the edges reach the floor branch
+
+
+@pytest.mark.parametrize("prec", [100, 256, 300, 512, 1024])
+def test_exact_value_matches_reference_at_the_cap(prec):
+    # log_value = 4096 log 2 at the caller's precision, and a few ulps and
+    # relative 2^-j either side of it
+    with mp.workprec(prec):
+        cap = 4096 * mp.log(2)
+        values = [cap * (1 + s * mp.ldexp(1, -j)) for j in (10, 30, prec - 4) for s in (-1, 1)]
+        values += [cap + u * mp.ldexp(1, 12 - prec) for u in range(-3, 4)]
+    got = [_same_exact_value(L, prec) for L in values]
+    assert got.count(None) == 6  # the three above by 2^-j and the three ulps above
+
+
+def test_least_nonsplit_bound_cache_keeps_input_types():
+    # FieldParams(2, ...) == FieldParams(2.0, ...) and 2 == 2.0, but the
+    # echoed strings differ, so the cached invariants must not be shared
+    least_nonsplit_bound(FieldParams(2, 1), 3, 2)
+    echo = dict(least_nonsplit_bound(FieldParams(2.0, 1), 3, 2).inputs)
+    assert (echo["n_K"], echo["n"]) == ("2.0", "2")
+    echo = dict(least_nonsplit_bound(FieldParams(2, 1), 3, 2.0).inputs)
+    assert (echo["n_K"], echo["n"]) == ("2", "2.0")
+
+
+def test_least_nonsplit_bound_cache_is_per_precision():
+    # c = "0.1" rounds differently at each precision, so a cached c f(K)
+    # reused at another precision would move the last bits of log_value
+    log_d_L = mp.log(163)
+    for prec in (256, 512, 100, 256):
+        rep = least_nonsplit_bound(RATIONALS, log_d_L, 3, "0.1", precision_bits=prec)
+        with mp.workprec(prec):
+            want = mp.mpf("0.1") + mp.mpf(5) / 4 * mp.mpf(log_d_L)
+        assert rep.log_value == want, prec

@@ -1,6 +1,8 @@
 """Prime surveys: Kronecker symbols, point counting, Cornacchia traces,
 E x E ranks, least non-split primes, prime-ideal counts."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -35,6 +37,8 @@ CURVE_X3_PLUS_1 = EllipticCurve(0, 0, 0, 0, 1)   # CM by the Eisenstein order
 
 def test_primes_up_to():
     assert primes_up_to(1) == []
+    assert primes_up_to(2) == [2]
+    assert primes_up_to(29)[-1] == 29
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**5)) == 9592
 
@@ -320,6 +324,18 @@ def test_least_nonsplit_sweep_small():
         for p in primes_up_to(res.found_prime - 1):
             assert kronecker_symbol(D, p) != -1
         assert res.satisfied, D
+
+
+def test_least_nonsplit_sweep_pinned():
+    # every record of the sweep over 1,218 discriminants |D| <= 2000, digest
+    # taken before the D-independent part of the bound was cached; the found
+    # primes, the echoed inputs and exact_value must not move
+    digest = hashlib.sha256()
+    for D in fundamental_discriminants(2000):
+        res = least_nonsplit_search(D)
+        record = {"D": res.D, "found_prime": res.found_prime, "satisfied": res.satisfied, "bound": res.bound.to_record()}
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == "1c9137a65538f96f76cae43db9dd6d1ff6253b7c84cc43f697cb9446494b3353"
 
 
 # ---------------------------------------------------------------------------

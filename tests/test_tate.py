@@ -123,7 +123,7 @@ def test_degree_bound_against_independent_totient_scan():
 
 def test_totient_bounded_set_against_scan_to_twice_bound_squared():
     # phi(m) >= sqrt(m/2) for every m, so the scan to 2*B^2 is exhaustive;
-    # the library scans only to max(B^2, 6)
+    # the library does not scan: it enumerates products of prime powers
     phi = _totient_table(2 * 100 * 100)
     for bound in range(1, 101):
         scan = tuple(m for m in range(1, 2 * bound * bound + 1) if phi[m] <= bound)
