@@ -10,6 +10,13 @@ the Cornacchia representation 4p = x^2 + |D| y^2; only |a_p| is used, since
 all of the degree-2 eigenvalue products feeding the E x E ranks are
 invariant under negating both H^1 roots.  Naive point counting over F_p
 provides the independent trace oracle.
+
+The survey loops take their primes from a sieve, so they call internal steps
+that skip the checks a sieved prime already meets: ``_cm_trace`` and
+``_pointcount`` run no primality test, and ``_exe_weil`` builds the E x E
+Weil polynomial (T^2 - aT + p)^2 directly, keeping only the exact Hasse
+check.  The public ``ap_cm`` and ``ap_pointcount`` keep every check and
+call the same trace kernels; ``weil_from_trace`` keeps its own checks.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ import mpmath
 from mpmath import mp
 
 from .bounds import RATIONALS, BoundReport, FieldParams, least_nonsplit_bound
-from .polycore import BudgetExceededError, factorization, is_prime
+from .polycore import BudgetExceededError, IntPoly, factorization, is_prime
 from .tate import stable_tate_dim, tate_dim
-from .weil import product_variety, weil_from_trace
+from .weil import WeilPoly
 
 __all__ = [
     "BudgetExceededError",
@@ -262,13 +269,18 @@ def ap_pointcount(E: EllipticCurve, p: int) -> int | None:
     """Frobenius trace a_p = p + 1 - #E(F_p) by direct enumeration, or None at
     a prime of bad reduction.
 
-    For odd p the count uses the completed-square form and a quadratic-residue
-    table; p = 2 enumerates the four affine points directly.
+    For odd p the count uses the completed-square form and a table of
+    Legendre symbols; p = 2 enumerates the four affine points directly.
     """
     if p > POINTCOUNT_BUDGET:
         raise BudgetExceededError(f"point counting capped at p <= {POINTCOUNT_BUDGET}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _pointcount(E, p)
+
+
+def _pointcount(E: EllipticCurve, p: int) -> int | None:
+    """ap_pointcount without its input checks, for a prime p."""
     if E.discriminant() % p == 0:
         return None
     if p == 2:
@@ -281,15 +293,11 @@ def ap_pointcount(E: EllipticCurve, p: int) -> int | None:
                     affine += 1
         return 2 + 1 - (affine + 1)
     b2, b4, b6, _ = E.b_invariants()
-    square = bytearray(p)
-    for t in range((p // 2) + 1):
-        square[t * t % p] = 1
-    total = 0
-    for x in range(p):
-        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        if g:
-            total += 1 if square[g] else -1
-    return -total
+    legendre = [-1] * p
+    legendre[0] = 0
+    for t in range(1, (p + 1) // 2):
+        legendre[t * t % p] = 1
+    return -sum([legendre[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p)])
 
 
 def ap_cm(D: int, p: int) -> tuple[str, int]:
@@ -308,6 +316,14 @@ def ap_cm(D: int, p: int) -> tuple[str, int]:
         raise ValueError(f"{p} is not prime")
     if (2 * D) % p == 0:
         raise ValueError(f"p = {p} divides 2D")
+    typ, a = _cm_trace(D, p)
+    if a * a > 4 * p:
+        raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
+    return typ, a
+
+
+def _cm_trace(D: int, p: int) -> tuple[str, int]:
+    """ap_cm without its input checks, for a prime p not dividing 2D."""
     # D is fundamental and p prime, so the symbol is the splitting of p
     if kronecker_symbol(D, p) == -1:
         return "supersingular", 0
@@ -318,8 +334,6 @@ def ap_cm(D: int, p: int) -> tuple[str, int]:
         a = next(abs(t) for t in (x, (x + 3 * y) // 2, (x - 3 * y) // 2) if t % 2 == 0)
     else:
         a = x
-    if a * a > 4 * p:
-        raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
     return "ordinary", a
 
 
@@ -366,10 +380,19 @@ class DensityReport:
         }
 
 
+def _exe_weil(a: int, p: int) -> WeilPoly:
+    """The Weil polynomial (T^2 - aT + p)^2 of E x E, for a trace a at a
+    prime p the sieve gave.  It equals product_variety of weil_from_trace(a,
+    p) with itself; of the checks there only the exact Hasse bound is needed,
+    since p is already known to be prime."""
+    if a * a > 4 * p:
+        raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
+    return WeilPoly(poly=IntPoly([p * p, -2 * a * p, a * a + 2 * p, -2 * a, 1]), q=p, p=p, d=2)
+
+
 def _exe_ranks(a: int, p: int) -> tuple[int, int, int]:
     """Tate ranks in codimension 1 for E x E with trace a over F_p."""
-    e = weil_from_trace(a, p)
-    w = product_variety(e, e)
+    w = _exe_weil(a, p)
     rank_base = tate_dim(w, 1, 1)
     rank_stable, stable_degree = stable_tate_dim(w, 1)
     return rank_base, rank_stable, stable_degree
@@ -395,7 +418,7 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
             rows.append(SurveyRow(p, chi, None, "bad-or-excluded", None, None, None))
             n_excluded += 1
             continue
-        typ, a = ap_cm(D, p)
+        typ, a = _cm_trace(D, p)
         rank_base, rank_stable, stable_degree = _exe_ranks(a, p)
         rows.append(SurveyRow(p, chi, a, typ, rank_base, rank_stable, stable_degree))
         if chi == 1:
@@ -441,7 +464,7 @@ def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
     exceptional = []
     all4 = True
     for p in primes_up_to(p_max):
-        a = ap_pointcount(E, p)
+        a = _pointcount(E, p)
         if a is None:
             rows.append(SurveyRow(p, None, None, "bad", None, None, None))
             continue
@@ -476,6 +499,19 @@ class NonSplitResult:
         return self.bound.log_value
 
 
+_sieved_primes = lru_cache(maxsize=None)(primes_up_to)
+
+
+def _ascending_primes():
+    """Every prime in ascending order, read from cached sieves that double in
+    length each time the walk runs past the end of one."""
+    n, seen = 1024, 0
+    while True:
+        primes = _sieved_primes(n)
+        yield from itertools.islice(primes, seen, None)
+        n, seen = 2 * n, len(primes)
+
+
 @lru_cache(maxsize=128)
 def _log_at(p: int, precision_bits: int):
     with mp.workprec(precision_bits):
@@ -489,7 +525,7 @@ def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitR
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     found = None
-    for p in itertools.chain((2,), filter(is_prime, itertools.count(3, 2))):
+    for p in _ascending_primes():
         if kronecker_symbol(D, p) == -1:
             found = p
             break

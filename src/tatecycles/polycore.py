@@ -363,23 +363,33 @@ def _cyclotomic_cached(m: int) -> IntPoly:
 def cyclotomic_multiplicity(f: IntPoly, m: int) -> int:
     """Largest e such that the m-th cyclotomic polynomial to the e divides f.
 
+    Phi_m is monic, so each division is synthetic division in place on one
+    coefficient list: the remainder ends in the low deg(Phi_m) places and
+    the quotient in the rest, with no IntPoly built per step.  Division
+    stops at the first nonzero remainder or when the quotient's degree falls
+    below deg(Phi_m).  f need not be monic.
+
     >>> cyclotomic_multiplicity(IntPoly([1, -1, -1, 1]), 1)   # (T-1)^2 (T+1)
     2
     """
     if f.is_zero():
         raise ValueError("zero polynomial has infinite multiplicity")
-    phi = cyclotomic(m)
-    if phi.degree > f.degree:
-        return 0
+    phi = cyclotomic(m).coeffs
+    n = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
+    rem = list(f.coeffs)
     e = 0
-    while True:
-        q, r = divmod(f, phi)
-        if not r.is_zero():
+    while len(rem) > n:
+        for i in range(len(rem) - n - 1, -1, -1):
+            top = rem[i + n]
+            if top:
+                for j, c in terms:
+                    rem[i + j] -= top * c
+        if any(rem[:n]):
             return e
         e += 1
-        f = q
-        if f.degree < phi.degree:
-            return e
+        del rem[:n]
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +407,12 @@ def power_sums(f: IntPoly, count: int) -> list[int]:
     if not f.is_monic():
         raise ValueError("power sums require a monic polynomial")
     n = f.degree
-    a = [f.coeffs[n - i] for i in range(1, n + 1)]
+    a = f.coeffs[-2::-1]
     p: list[int] = []
     for m in range(1, count + 1):
         s = m * a[m - 1] if m <= n else 0
-        for i in range(1, min(m - 1, n) + 1):
-            s += a[i - 1] * p[m - 1 - i]
+        for ai, pj in zip(a, reversed(p)):
+            s += ai * pj
         p.append(-s)
     return p
 
@@ -419,14 +429,25 @@ def from_power_sums(sums: "list[int] | tuple[int, ...]") -> IntPoly:
     >>> from_power_sums([3, -1, -18])
     IntPoly('T^3 - 3T^2 + 5T')
     """
+    return IntPoly(_newton_coefficients(sums)[::-1] + [1])
+
+
+def _newton_coefficients(sums) -> list[int]:
+    """a_1, ..., a_N of the monic T^N + a_1 T^(N-1) + ... + a_N whose roots
+    have power sums p_1, ..., p_N: a_m = -(p_m + a_1 p_(m-1) + ... +
+    a_(m-1) p_1) / m, raising AssertionError on a nonzero remainder."""
     a: list[int] = []
+    seen: list[int] = []
     for m, pm in enumerate(sums, 1):
-        s = pm + sum(a[i] * sums[m - 2 - i] for i in range(m - 1))
+        s = pm
+        for ai, pj in zip(a, reversed(seen)):
+            s += ai * pj
         am, rem = divmod(-s, m)
         if rem:
             raise AssertionError(f"inexact Newton division: {-s} by {m}")
         a.append(am)
-    return IntPoly(a[::-1] + [1])
+        seen.append(pm)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from mpmath import mp
 
 from .polycore import (
     IntPoly,
+    _newton_coefficients,
     factorization,
     from_power_sums,
     power_sums,
@@ -196,12 +197,12 @@ def product_variety(a: WeilPoly, b: WeilPoly) -> WeilPoly:
 
 @lru_cache(maxsize=1024)
 def _subset_product_charpoly(coeffs: tuple[int, ...], r: int) -> IntPoly:
-    # The alpha^j have power sums P_j, P_2j, ..., and the degree-r polynomial
-    # rebuilt from the first r of them has constant term (-1)^r e_r(alpha^j).
+    # The alpha^j have power sums P_j, P_2j, ..., and Newton's recursion on
+    # the first r of them ends in a_r = (-1)^r e_r(alpha^j).
     degree = comb(len(coeffs) - 1, r)
     P = power_sums(IntPoly(coeffs), r * degree)
     sign = -1 if r % 2 else 1
-    S = [sign * from_power_sums(P[j - 1:r * j:j]).coeffs[0] for j in range(1, degree + 1)]
+    S = [sign * _newton_coefficients(P[j - 1:r * j:j])[-1] for j in range(1, degree + 1)]
     return from_power_sums(S)
 
 

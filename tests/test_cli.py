@@ -5,6 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -74,6 +78,19 @@ def test_tate_human_output(capsys):
 def test_tate_paper_convention_flag(capsys):
     report = run_json(capsys, "tate", "--poly", "5,-3,1", "--q", "5", "--paper-convention")
     assert report["inputs"]["reciprocal_coeffs"] == ["1", "-3", "5"]
+
+
+def test_python_dash_m_matches_main(capsys):
+    argv = ["tate", "--poly", "5,-3,1", "--q", "5", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tatecycles", *argv], capture_output=True, env=env, timeout=60, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.encode()
 
 
 def test_json_deterministic(capsys):

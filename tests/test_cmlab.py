@@ -2,6 +2,7 @@
 E x E ranks, least non-split primes, prime-ideal counts."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -12,6 +13,11 @@ from tatecycles.cmlab import (
     CLASS_NUMBER_ONE_DISCS,
     BudgetExceededError,
     EllipticCurve,
+    InternalError,
+    _ascending_primes,
+    _cm_trace,
+    _exe_weil,
+    _pointcount,
     ap_cm,
     ap_pointcount,
     exe_survey,
@@ -26,6 +32,7 @@ from tatecycles.cmlab import (
     pi_K_count,
     primes_up_to,
 )
+from tatecycles.weil import product_variety, weil_from_trace
 
 CURVE_37A = EllipticCurve(0, 0, 1, -1, 0, label="37a")
 CURVE_X3_PLUS_X = EllipticCurve(0, 0, 0, 1, 0)   # CM by the Gaussian order
@@ -117,7 +124,7 @@ def _ap_brute(E, p):
     return p + 1 - (count + 1)
 
 
-def test_ap_pointcount_against_double_loop():
+def _oracle_curves():
     rng = random.Random(41)
     curves = [CURVE_37A, CURVE_X3_PLUS_X, CURVE_X3_PLUS_1]
     for _ in range(5):
@@ -132,9 +139,19 @@ def test_ap_pointcount_against_double_loop():
                 break
             except ValueError:
                 continue
-    for E in curves:
+    return curves
+
+
+def test_ap_pointcount_against_double_loop():
+    for E in _oracle_curves():
         for p in primes_up_to(60):
             assert ap_pointcount(E, p) == _ap_brute(E, p), (E, p)
+
+
+def test_internal_pointcount_against_double_loop():
+    for E in _oracle_curves():
+        for p in primes_up_to(199):
+            assert _pointcount(E, p) == _ap_brute(E, p), (E, p)
 
 
 def test_ap_pointcount_hasse():
@@ -215,6 +232,27 @@ def test_supersingular_iff_inert():
 
 # ---------------------------------------------------------------------------
 # E x E surveys
+
+def test_sieved_prime_step_matches_public_route():
+    # the survey's unchecked trace and E x E Weil polynomial against the
+    # checked ap_cm, weil_from_trace and product_variety
+    for D in CLASS_NUMBER_ONE_DISCS:
+        for p in primes_up_to(10**4):
+            if p in (2, 3) or D % p == 0:
+                continue
+            typ, a = ap_cm(D, p)
+            assert _cm_trace(D, p) == (typ, a), (D, p)
+            e = weil_from_trace(a, p)
+            assert _exe_weil(a, p) == product_variety(e, e), (D, p)
+
+
+def test_sieved_prime_step_keeps_hasse_check():
+    assert _exe_weil(4, 5) == product_variety(weil_from_trace(4, 5), weil_from_trace(4, 5))
+    with pytest.raises(InternalError):
+        _exe_weil(5, 5)
+    with pytest.raises(InternalError):
+        _exe_weil(-5, 5)
+
 
 def test_exe_survey_rows_examples():
     rows, density = exe_survey(-4, 100)
@@ -324,6 +362,11 @@ def test_least_nonsplit_sweep_small():
         for p in primes_up_to(res.found_prime - 1):
             assert kronecker_symbol(D, p) != -1
         assert res.satisfied, D
+
+
+def test_ascending_primes_grow_past_the_first_sieve():
+    # the 3,000th prime is 27,449, five doublings past the first sieve
+    assert list(itertools.islice(_ascending_primes(), 3000)) == primes_up_to(27449)
 
 
 def test_least_nonsplit_sweep_pinned():

@@ -36,6 +36,7 @@ from tatecycles.polycore import (
     squarefree_decomposition,
     squarefree_part,
 )
+from tatecycles.tate import totient_bounded_set
 from tatecycles.weil import complex_roots
 
 T = IntPoly([0, 1])
@@ -173,6 +174,41 @@ def test_cyclotomic_multiplicity_increment_property():
         m = rng.randint(1, 12)
         before = cyclotomic_multiplicity(f, m)
         assert cyclotomic_multiplicity(f * cyclotomic(m), m) == before + 1
+
+
+def _cyclotomic_multiplicity_by_divmod(f, m):
+    # the repeated IntPoly.__divmod__ loop that the list-based kernel replaced
+    phi = cyclotomic(m)
+    if phi.degree > f.degree:
+        return 0
+    e = 0
+    while True:
+        q, r = divmod(f, phi)
+        if not r.is_zero():
+            return e
+        e += 1
+        f = q
+        if f.degree < phi.degree:
+            return e
+
+
+def test_cyclotomic_multiplicity_matches_divmod_oracle():
+    rng = random.Random(8)
+    ms = totient_bounded_set(20)
+    for trial in range(150):
+        # a product of cyclotomic powers, times a random cofactor (often
+        # non-monic) or a non-unit constant, or alone
+        f = IntPoly([1])
+        for m in rng.sample(ms, rng.randint(1, 4)):
+            f = f * cyclotomic(m) ** rng.randint(1, 3)
+        shape = trial % 3
+        if shape == 1:
+            cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+            f = f * IntPoly(cofactor + [rng.choice([-3, -2, -1, 1, 2, 5])])
+        elif shape == 2:
+            f = f * rng.choice([-4, 2, 3, 7])
+        for m in ms:
+            assert cyclotomic_multiplicity(f, m) == _cyclotomic_multiplicity_by_divmod(f, m), (f, m)
 
 
 def test_cyclotomic_rejects_nonpositive():
