@@ -6,10 +6,15 @@ so the formulas are runnable without inventing constants.  Factorials and
 powers of two are exact integers; everything else is mpmath real arithmetic
 at a per-call working precision (default 256 bits).
 
-``least_nonsplit_bound`` caches, per (field, c, n, precision), everything
-that does not depend on d_L: c f(K), 5/(2(n-1)), log 55 and their echoed
-strings.  ln 2, the 4096-bit cap and the 1e-20 slack of ``exact_value`` are
-cached per precision.  All caches are bounded and filled on first use.
+``least_nonsplit_bound`` runs once per discriminant in a sweep, so it works on
+raw mpf tuples (``mpmath.libmp``) and passes the precision to each operation,
+rounding every step exactly as the ``mp`` context would; it neither reads nor
+sets ``mp.prec``.  It caches, per (field, c, n, precision), everything that
+does not depend on d_L: c f(K), 5/(2(n-1)), log 55 and their echoed strings.
+``exact_value`` runs on the same raw tuples and certifies the ceiling with an
+exact integer comparison.  ln 2, the 4096-bit cap and the 1e-20 slack of the
+logarithmic floor test are cached per precision.  All caches are bounded and
+filled on first use.
 """
 
 from __future__ import annotations
@@ -19,6 +24,21 @@ from functools import lru_cache
 from math import factorial
 
 from mpmath import mp
+from mpmath.libmp import (
+    from_int,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_gt,
+    mpf_log,
+    mpf_mul,
+    mpf_pos,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_int,
+    to_str,
+)
 
 from .polycore import is_prime
 
@@ -38,7 +58,6 @@ __all__ = [
 DEFAULT_PRECISION_BITS = 256
 EXACT_VALUE_MAX_BITS = 4096
 LOG_VALUE_DIGITS = 30
-_FLOOR_MARGIN = 2.0**-32
 
 _EXCEPTIONAL_FLAGS = ("yes", "no", "unknown")
 
@@ -72,9 +91,12 @@ class BoundReport:
 
     ``exact_value`` is the integer ceiling of the bound when it fits in 4096
     bits (adjusted to the floor in the rare case the ceiling is more than a
-    relative 1/exact_value away from the true value).  When c >= 2 and
-    c - e^L is below c/(c+1) by more than 2^-32, the ceiling c is certified
-    without a logarithm; only otherwise is the logarithmic floor test run.
+    relative 1/exact_value away from the true value).  With v = e^L rounded
+    to a binary fraction, the ceiling c >= 2 is certified by the exact integer
+    comparison (c - v + 2^-32)(c + 1) < c; only where it fails is the
+    logarithmic floor test run.  ``least_nonsplit_bound`` computes its
+    report with the precision passed to each operation, never through the
+    global ``mp`` context, so the report does not depend on ``mp.prec``.
     """
 
     name: str
@@ -104,10 +126,9 @@ def _fp_inputs(fp: FieldParams) -> list[tuple[str, str]]:
 
 @lru_cache(maxsize=16)
 def _log2_and_cap(prec: int):
-    """ln 2 and the 4096-bit cap on log_value, at the caller's precision."""
-    with mp.workprec(prec):
-        ln2 = mp.log(2)
-        return ln2, EXACT_VALUE_MAX_BITS * ln2
+    """ln 2 and the 4096-bit cap on log_value as raw mpfs at ``prec`` bits."""
+    ln2 = mpf_log(from_int(2), prec, round_nearest)
+    return ln2, mpf_mul(from_int(EXACT_VALUE_MAX_BITS), ln2, prec, round_nearest)
 
 
 @lru_cache(maxsize=64)
@@ -117,22 +138,35 @@ def _floor_slack(prec: int):
 
 
 def _exact_value(log_value) -> int | None:
-    ln2, cap = _log2_and_cap(mp.prec)
-    if log_value > cap:
+    """exact_value of an mpf log_value at the working precision mp.prec."""
+    return _exact_value_at(log_value._mpf_, mp.prec)
+
+
+def _exact_value_at(L, prec: int) -> int | None:
+    """exact_value of the raw mpf L, rounded as at ``prec`` bits."""
+    ln2, cap = _log2_and_cap(prec)
+    if mpf_gt(L, cap):
         return None
-    need = int(log_value / ln2) + 80
-    with mp.workprec(max(need, mp.prec)):
-        v = mp.exp(mp.mpf(log_value))
-        c = int(mp.ceil(v))
-        # The floor test log(c) - L > 1e-20 + log1p(1/c) needs c - e^L > c/(c+1).
-        # The precision exceeds log2(c) + 78, so v is within 2^-66 of e^L and
-        # the test's rounding error is below 2^(14-prec); if c - v falls short
-        # of c/(c+1) by 2^-32, log(c) - L falls short of log1p(1/c) by more
-        # than 2^(44-prec) and the test is false.
-        if c >= 2 and (c - v) + _FLOOR_MARGIN < mp.mpf(c) / (c + 1):
-            return c
-        if c >= 1 and mp.log(c) - log_value > _floor_slack(mp.prec) + mp.log1p(mp.mpf(1) / c):
-            c = int(mp.floor(v))
+    wp = max(to_int(mpf_div(L, ln2, prec, round_nearest)) + 80, prec)
+    v = mpf_exp(mpf_pos(L, wp, round_nearest), wp, round_nearest)
+    c = to_int(v, round_ceiling)
+    # The floor test log(c) - L > 1e-20 + log1p(1/c) needs c - e^L > c/(c+1).
+    # wp exceeds log2(c) + 78, so v is within 2^-66 of e^L and the test's
+    # rounding error is below 2^(14-wp); if c - v falls short of c/(c+1) by
+    # 2^-32, log(c) - L falls short of log1p(1/c) by more than 2^(44-wp) and
+    # the test is false.  So where the comparison below holds, the floor test
+    # would keep c: it certifies only where the logarithmic route returns c,
+    # and elsewhere that route decides.  With v = man 2^e and
+    # s = max(32, -e) it is (c - v + 2^-32)(c + 1) < c scaled by 2^s, exact
+    # in integers.
+    _, man, e, _ = v
+    s = max(32, -e)
+    if c >= 2 and ((c << s) - (man << (e + s)) + (1 << (s - 32))) * (c + 1) < c << s:
+        return c
+    with mp.workprec(wp):
+        log_value = mp.make_mpf(L)
+        if c >= 1 and mp.log(c) - log_value > _floor_slack(wp) + mp.log1p(mp.mpf(1) / c):
+            c = to_int(v, round_floor)
     return c
 
 
@@ -196,7 +230,8 @@ def hensel_galois_log_disc(
 @lru_cache(maxsize=64, typed=True)
 def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, precision_bits: int):
     """The part of least_nonsplit_bound that does not depend on d_L: c f(K),
-    5/(2(n-1)), log 55 and the echoed inputs before and after log |d_L|.
+    5/(2(n-1)) and log 55 as raw mpfs, and the echoed inputs before and after
+    log |d_L|.
 
     ``field_types`` joins the key because FieldParams equality ignores the
     types of its fields and the echoed strings do not (2 == 2.0, "2" != "2.0").
@@ -211,7 +246,9 @@ def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, precision_bits
             ("f_K", mp.nstr(fk, LOG_VALUE_DIGITS)),
             ("branch_constant_log", mp.nstr(log_const, LOG_VALUE_DIGITS)),
         )
-        return mp.mpf(c) * fk, mp.mpf(5) / (2 * (n - 1)), log_const, tuple(_fp_inputs(fp)), tail
+        c_fk = mp.mpf(c) * fk
+        slope = mp.mpf(5) / (2 * (n - 1))
+        return c_fk._mpf_, slope._mpf_, log_const._mpf_, tuple(_fp_inputs(fp)), tail
 
 
 def least_nonsplit_bound(
@@ -231,23 +268,26 @@ def least_nonsplit_bound(
     c_fk, slope, log_const, head, tail = _nonsplit_invariants(
         fp, (type(fp.n_K), type(fp.log_abs_disc)), c, n, precision_bits
     )
-    with mp.workprec(precision_bits):
-        ldl = mp.mpf(log_d_L)
-        log_formula = c_fk + slope * ldl
-        active = "formula" if log_formula > log_const else "constant_55"
-        log_value = log_formula if log_formula > log_const else log_const
-        inputs = (
-            head
-            + (("log_abs_disc_L", mp.nstr(ldl, LOG_VALUE_DIGITS)),)
-            + tail
-            + (("branch_formula_log", mp.nstr(log_formula, LOG_VALUE_DIGITS)), ("active_branch", active))
+    prec = precision_bits
+    ldl = mp.mpf(log_d_L, prec=prec)._mpf_
+    log_formula = mpf_add(c_fk, mpf_mul(slope, ldl, prec, round_nearest), prec, round_nearest)
+    formula_wins = mpf_gt(log_formula, log_const)
+    log_value = log_formula if formula_wins else log_const
+    inputs = (
+        head
+        + (("log_abs_disc_L", to_str(ldl, LOG_VALUE_DIGITS)),)
+        + tail
+        + (
+            ("branch_formula_log", to_str(log_formula, LOG_VALUE_DIGITS)),
+            ("active_branch", "formula" if formula_wins else "constant_55"),
         )
-        return BoundReport(
-            name="least_nonsplit_bound",
-            inputs=inputs,
-            log_value=log_value,
-            exact_value=_exact_value(log_value),
-        )
+    )
+    return BoundReport(
+        name="least_nonsplit_bound",
+        inputs=inputs,
+        log_value=mp.make_mpf(log_value),
+        exact_value=_exact_value_at(log_value, prec),
+    )
 
 
 def _log_B(N, fp: FieldParams, m: int, d: int, precision_bits: int = DEFAULT_PRECISION_BITS):

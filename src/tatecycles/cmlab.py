@@ -22,14 +22,16 @@ call the same trace kernels; ``weil_from_trace`` keeps its own checks.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_le, mpf_log, round_nearest
 
-from .bounds import RATIONALS, BoundReport, FieldParams, least_nonsplit_bound
+from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, FieldParams, least_nonsplit_bound
 from .polycore import BudgetExceededError, IntPoly, factorization, is_prime
 from .tate import stable_tate_dim, tate_dim
 from .weil import WeilPoly
@@ -512,16 +514,22 @@ def _ascending_primes():
         n, seen = 2 * n, len(primes)
 
 
-@lru_cache(maxsize=128)
-def _log_at(p: int, precision_bits: int):
-    with mp.workprec(precision_bits):
-        return mp.log(p)
+def _log_at(n: int):
+    """log n as a raw mpf at the bound's default precision."""
+    return mpf_log(from_int(n), DEFAULT_PRECISION_BITS, round_nearest)
+
+
+_log_at_prime = lru_cache(maxsize=128)(_log_at)  # found primes repeat; |D| does not
 
 
 def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitResult:
     """Least unramified rational prime that does not split in Q(sqrt(D)),
     together with the theoretical norm bound (relative degree 2 over the
-    rationals) and whether the found prime satisfies it."""
+    rationals) and whether the found prime satisfies it.
+
+    >>> least_nonsplit_search(-4).found_prime
+    3
+    """
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     found = None
@@ -529,11 +537,10 @@ def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitR
         if kronecker_symbol(D, p) == -1:
             found = p
             break
-    with mp.workprec(256):
-        log_d_L = mp.log(abs(D))
-        report = least_nonsplit_bound(fp, log_d_L, n=2, c=c)
-        satisfied = _log_at(found, 256) <= report.log_value
-    return NonSplitResult(D=D, found_prime=found, bound=report, satisfied=bool(satisfied))
+    log_d_L = mp.make_mpf(_log_at(abs(D)))
+    report = least_nonsplit_bound(fp, log_d_L, n=2, c=c)
+    satisfied = mpf_le(_log_at_prime(found), report.log_value._mpf_)
+    return NonSplitResult(D=D, found_prime=found, bound=report, satisfied=satisfied)
 
 
 @dataclass(frozen=True)
@@ -560,21 +567,27 @@ def pi_K_count(D: int, x: int) -> PiKResult:
 
     Split rational primes p <= x contribute two ideals of norm p, ramified
     primes one, and inert primes one ideal of norm p^2 (counted when
-    p^2 <= x).
+    p^2 <= x).  For a fundamental D the symbol (D|p) depends only on
+    p mod |D|, so when |D| is at most the number of primes <= x it is read
+    from a table of (D|r) for r < |D|; otherwise each prime gets its own
+    symbol, so no table costs more symbols than the primes do.
+
+    >>> pi_K_count(-4, 10).count
+    4
     """
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     if x > PIK_BUDGET:
         raise BudgetExceededError(f"prime-ideal counting capped at x <= {PIK_BUDGET}")
-    count = 0
-    for p in primes_up_to(x):
-        chi = kronecker_symbol(D, p)
-        if chi == 1:
-            count += 2
-        elif chi == 0:
-            count += 1
-        elif p * p <= x:
-            count += 1
+    primes = primes_up_to(x)
+    m = abs(D)
+    if m <= len(primes):
+        table = [kronecker_symbol(D, r) for r in range(m)]
+        chis = [table[p % m] for p in primes]
+    else:
+        chis = [kronecker_symbol(D, p) for p in primes]
+    small = bisect_right(primes, isqrt(x))
+    count = 2 * chis.count(1) + chis.count(0) + chis[:small].count(-1)
     li = float(mpmath.li(x, offset=True)) if x >= 2 else float("-inf")
     ratio = count / li if li > 0 else None
     return PiKResult(D=D, x=x, count=count, li_x=li, ratio=ratio)

@@ -388,3 +388,82 @@ def test_least_nonsplit_bound_cache_is_per_precision():
         with mp.workprec(prec):
             want = mp.mpf("0.1") + mp.mpf(5) / 4 * mp.mpf(log_d_L)
         assert rep.log_value == want, prec
+
+
+# ---------------------------------------------------------------------------
+# least_nonsplit_bound against the same formula through the mp context
+
+def _least_nonsplit_bound_reference(fp, log_d_L, n, c, precision_bits):
+    """The bound computed with mp operations under workprec, with the
+    logarithmic floor test for exact_value; returns (record, inputs, log_value)."""
+    with mp.workprec(precision_bits):
+        fk = f_of_K(fp, precision_bits)
+        ldl = mp.mpf(log_d_L)
+        log_const = mp.log(55)
+        log_formula = mp.mpf(c) * fk + mp.mpf(5) / (2 * (n - 1)) * ldl
+        active = "formula" if log_formula > log_const else "constant_55"
+        log_value = log_formula if log_formula > log_const else log_const
+        inputs = (
+            ("n_K", str(fp.n_K)),
+            ("log_abs_disc_K", mp.nstr(mp.mpf(fp.log_abs_disc), 30)),
+            ("has_exceptional_zero", fp.has_exceptional_zero),
+            ("log_abs_disc_L", mp.nstr(ldl, 30)),
+            ("n", str(n)),
+            ("c", mp.nstr(mp.mpf(c), 30)),
+            ("constants_pinned", "no"),
+            ("f_K", mp.nstr(fk, 30)),
+            ("branch_constant_log", mp.nstr(log_const, 30)),
+            ("branch_formula_log", mp.nstr(log_formula, 30)),
+            ("active_branch", active),
+        )
+        exact = _exact_value_reference(log_value)
+        record = {
+            "name": "least_nonsplit_bound",
+            "inputs": dict(inputs),
+            "log_value": mp.nstr(log_value, 30),
+            "exact_value": str(exact) if exact is not None else None,
+        }
+    return record, inputs, log_value
+
+
+def _high_precision_log(n):
+    with mp.workprec(2000):
+        return mp.log(n)
+
+
+_LOG_D_L = (
+    st.integers(0, 10**6)
+    | st.floats(0, 2000, allow_nan=False)
+    | st.builds(lambda a, b: f"{a}.{b:035d}", st.integers(0, 3000), st.integers(0, 10**35 - 1))
+    | st.builds(_high_precision_log, st.integers(1, 10**30))
+)
+_FIELDS = st.builds(
+    FieldParams,
+    n_K=st.just(1),
+    log_abs_disc=st.just(0),
+    has_exceptional_zero=st.sampled_from(["yes", "no", "unknown"]),
+) | st.builds(
+    FieldParams,
+    n_K=st.integers(2, 4),
+    log_abs_disc=st.sampled_from([0, 1, 3, 2.5, "5.25"]) | st.builds(_high_precision_log, st.integers(2, 10**6)),
+    has_exceptional_zero=st.sampled_from(["yes", "no", "unknown"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    fp=_FIELDS,
+    log_d_L=_LOG_D_L,
+    n=st.integers(2, 6),
+    c=st.sampled_from([1, "0.1", 2.5]),
+    prec=_PRECISIONS,
+)
+def test_least_nonsplit_bound_matches_mp_context_reference(fp, log_d_L, n, c, prec):
+    want, inputs, log_value = _least_nonsplit_bound_reference(fp, log_d_L, n, c, prec)
+    for caller_prec in (64, 2000):
+        with mp.workprec(caller_prec):
+            rep = least_nonsplit_bound(fp, log_d_L, n, c, precision_bits=prec)
+            assert mp.prec == caller_prec
+        assert rep.to_record() == want
+        assert rep.inputs == inputs
+        assert rep.log_value == log_value

@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from tatecycles.cmlab import (
@@ -80,6 +82,16 @@ def test_kronecker_symbol_against_euler_criterion():
             euler = pow(fd % p, (p - 1) // 2, p)
             euler = -1 if euler == p - 1 else euler
             assert kronecker_symbol(fd, p) == euler, (D, p)
+
+
+_FUNDAMENTAL_2000 = fundamental_discriminants(2000)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(D=st.sampled_from(_FUNDAMENTAL_2000), n=st.integers(0, 10**4) | st.integers(0, 10**15))
+def test_kronecker_symbol_is_periodic_mod_fundamental_discriminant(D, n):
+    # the pi_K character table reads (D|p) as (D|p mod |D|)
+    assert kronecker_symbol(D, n) == kronecker_symbol(D, n % abs(D)) == kronecker_symbol(D, n + abs(D))
 
 
 def test_fundamental_discriminants():
@@ -369,16 +381,26 @@ def test_ascending_primes_grow_past_the_first_sieve():
     assert list(itertools.islice(_ascending_primes(), 3000)) == primes_up_to(27449)
 
 
+def _sweep_digest(limit):
+    digest = hashlib.sha256()
+    for D in fundamental_discriminants(limit):
+        res = least_nonsplit_search(D)
+        record = {"D": res.D, "found_prime": res.found_prime, "satisfied": res.satisfied, "bound": res.bound.to_record()}
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    return digest.hexdigest()
+
+
 def test_least_nonsplit_sweep_pinned():
     # every record of the sweep over 1,218 discriminants |D| <= 2000, digest
     # taken before the D-independent part of the bound was cached; the found
     # primes, the echoed inputs and exact_value must not move
-    digest = hashlib.sha256()
-    for D in fundamental_discriminants(2000):
-        res = least_nonsplit_search(D)
-        record = {"D": res.D, "found_prime": res.found_prime, "satisfied": res.satisfied, "bound": res.bound.to_record()}
-        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
-    assert digest.hexdigest() == "1c9137a65538f96f76cae43db9dd6d1ff6253b7c84cc43f697cb9446494b3353"
+    assert _sweep_digest(2000) == "1c9137a65538f96f76cae43db9dd6d1ff6253b7c84cc43f697cb9446494b3353"
+
+
+def test_least_nonsplit_full_sweep_pinned():
+    # every record of the sweep over all 6,086 discriminants |D| <= 10^4,
+    # digest taken before the bound moved to raw mpf tuples
+    assert _sweep_digest(10**4) == "af3567a0cd47edd7342f343f1e955f6b115a0fd63f553855b0848a9e2f01f0a5"
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +436,32 @@ def test_pi_K_against_direct_ideal_enumeration():
         elif p * p <= x:
             count += 1
     assert pi_K_count(-4, x).count == count
+
+
+def _pi_K_per_prime(D, x):
+    count = 0
+    for p in primes_up_to(x):
+        chi = kronecker_symbol(D, p)
+        if chi == 1:
+            count += 2
+        elif chi == 0:
+            count += 1
+        elif p * p <= x:
+            count += 1
+    return count
+
+
+def test_pi_K_table_matches_per_prime_symbols():
+    # x on both sides of the switch to the character table, which is taken
+    # when |D| is at most the number of primes <= x: x = 5000 has 669 primes,
+    # x near |D| fewer than |D|, and the |D|-th prime p has exactly |D| primes
+    # up to it and |D| - 1 up to p - 1
+    primes = primes_up_to(10**4)
+    for D in fundamental_discriminants(300):
+        m = abs(D)
+        p = primes[m - 1]
+        for x in sorted({1, 2, 3, m - 1, m, m + 1, p - 1, p, 5000}):
+            assert pi_K_count(D, x).count == _pi_K_per_prime(D, x), (D, x)
 
 
 def test_pi_K_ratio_band_small():
