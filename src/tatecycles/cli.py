@@ -22,6 +22,7 @@ import time
 from mpmath import mp
 
 from . import __version__, bounds, cmlab, tate, weil
+from .jsonout import write_json
 from .polycore import PolyFormatError, format_poly, parse_poly
 
 EXIT_OK = 0
@@ -51,7 +52,7 @@ def _report(command: str, inputs: dict, rows: list, precision_bits: int | None =
 
 def _emit(report: dict, as_json: bool, human) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        write_json(report, sys.stdout.write)
     else:
         human(report)
 

@@ -209,6 +209,13 @@ def _unity_ratio_multiplicities(w: WeilPoly, k: int) -> tuple[tuple[int, int], .
     return _cyclotomic_scan(h_charpoly(w, 2 * k).poly, w.q**k)
 
 
+def _stable(mults: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """Number of roots of unity among the roots of R, with multiplicity, and
+    the lcm of their orders, from the pairs (m, e) of
+    _unity_ratio_multiplicities."""
+    return sum(euler_phi(m) * e for m, e in mults), lcm(*(m for m, _ in mults))
+
+
 def tate_dim(w: WeilPoly, k: int, n: int) -> int:
     """Dimension of the codimension-k Tate classes over the degree-n extension.
 
@@ -232,10 +239,7 @@ def stable_tate_dim(w: WeilPoly, k: int) -> tuple[int, int]:
     trivial ratio occurs).
     """
     _check_codim(w.d, k)
-    mults = _unity_ratio_multiplicities(w, k)
-    stable = sum(euler_phi(m) * e for m, e in mults)
-    min_degree = lcm(*(m for m, _ in mults)) if mults else 1
-    return stable, min_degree
+    return _stable(_unity_ratio_multiplicities(w, k))
 
 
 @dataclass(frozen=True)
@@ -273,8 +277,15 @@ def tate_profile(w: WeilPoly, n_report: int | None = None) -> TateProfile:
     for k in range(w.d + 1):
         bound = degree_bound(w.d, k)
         n_max = n_report if n_report is not None else min(bound, DISPLAY_N_CAP)
-        dims = tuple((n, tate_dim(w, k, n)) for n in range(1, n_max + 1))
-        stable, min_deg = stable_tate_dim(w, k)
+        mults = _unity_ratio_multiplicities(w, k)
+        # dim(n) = sum over m | n of phi(m) e, sieved over the multiples of m
+        dim = [0] * (n_max + 1)
+        for m, e in mults:
+            roots = euler_phi(m) * e
+            for n in range(m, n_max + 1, m):
+                dim[n] += roots
+        dims = tuple(zip(range(1, n_max + 1), dim[1:]))
+        stable, min_deg = _stable(mults)
         rows.append(
             TateRow(k=k, dims=dims, stable_dim=stable, min_stable_degree=min_deg, degree_bound=bound)
         )
@@ -293,9 +304,9 @@ def _classify_distance(dist, threshold, band) -> bool:
 
 
 @lru_cache(maxsize=32)
-def _h1_roots(f: IntPoly, precision_bits: int, work: int) -> tuple:
+def _h1_roots(f: IntPoly, work: int) -> tuple:
     with mp.workprec(work):
-        return tuple(complex_roots(f, precision_bits))
+        return tuple(complex_roots(f))
 
 
 def tate_dim_numeric(w: WeilPoly, k: int, n: int, precision_bits: int = 200) -> int:
@@ -314,7 +325,7 @@ def tate_dim_numeric(w: WeilPoly, k: int, n: int, precision_bits: int = 200) -> 
     work = precision_bits + coeff_bits + 2 * n * k * w.q.bit_length() + 64
     work = -(-work // 256) * 256  # rounded up, so that (k, n) pairs share roots
     with mp.workprec(work):
-        roots = _h1_roots(w.poly, precision_bits, work)
+        roots = _h1_roots(w.poly, work)
         target = mp.mpf(w.q) ** (k * n)
         threshold = mp.mpf(2) ** (-(precision_bits // 2)) * target
         band = mp.mpf(2) ** (precision_bits // 4)

@@ -106,14 +106,14 @@ def _characteristic(q: int) -> int:
     return pe[0][0]
 
 
-def complex_roots(f: IntPoly, precision_bits: int):
+def complex_roots(f: IntPoly):
     """All complex roots of f with multiplicity, as mpmath complex numbers.
 
     Roots are found on the squarefree factors (so repeated roots do not
     degrade accuracy) and replicated according to the Yun multiplicities.
-    Must be called inside an mp.workprec context at least as wide as
-    ``precision_bits``; polyroots adds only the coefficient bit length to
-    that context, which already carries ``precision_bits``.
+    The accuracy is the caller's: call inside an mp.workprec context as wide
+    as the precision wanted; polyroots adds only the coefficient bit length
+    to that context.
     """
     roots = []
     for g, e in squarefree_decomposition(f):

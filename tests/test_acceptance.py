@@ -259,9 +259,9 @@ def test_criterion_9_kernel():
         tol = mp.mpf(2) ** -100
         for s in (3, 4, 5, 6):
             M = IntMatrix(s, s, [rng.randint(-9, 9) for _ in range(s * s)])
-            eigs = complex_roots(charpoly(M), 260)
+            eigs = complex_roots(charpoly(M))
             for r in range(1, s + 1):
-                comp_eigs = complex_roots(charpoly(compound_matrix(M, r)), 260)
+                comp_eigs = complex_roots(charpoly(compound_matrix(M, r)))
                 products = []
                 for I in itertools.combinations(range(s), r):
                     prod = mp.mpc(1)

@@ -505,3 +505,35 @@ def test_fuzz_real_flags(sub, value):
         "cm-nonsplit": ["cm", "nonsplit", "--disc", "-4", "--c", value],
     }[sub]
     _assert_contract(argv + ["--json"])
+
+
+# ---------------------------------------------------------------------------
+# the --json stream
+
+class _RecordingStream:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+
+def test_emit_writes_to_stdout_current_at_call_time():
+    report = {"schema": 1, "rows": [{"k": 0}], "meta": {}}
+    outer, inner = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(outer):
+        with contextlib.redirect_stdout(inner):
+            cli._emit(report, True, None)
+    assert outer.getvalue() == ""
+    assert inner.getvalue() == json.dumps(report, indent=2) + "\n"
+
+
+def test_emit_streams_a_survey_in_several_writes():
+    args = cli.build_parser().parse_args(["cm", "survey", "--disc", "-4", "--pmax", "20000", "--json"])
+    report = args.run(args)
+    stream = _RecordingStream()
+    with contextlib.redirect_stdout(stream):
+        cli._emit(report, True, args.human)
+    assert len(stream.chunks) > 1
+    assert "".join(stream.chunks) == json.dumps(report, indent=2) + "\n"

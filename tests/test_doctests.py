@@ -5,7 +5,7 @@ import importlib
 
 import pytest
 
-MODULES = ["tatecycles", "polycore", "weil", "tate", "bounds", "cmlab", "cli"]
+MODULES = ["tatecycles", "polycore", "weil", "tate", "bounds", "cmlab", "cli", "jsonout"]
 
 
 @pytest.mark.parametrize("name", MODULES)

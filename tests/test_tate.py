@@ -19,6 +19,7 @@ from tatecycles.polycore import (
 )
 from tatecycles.tate import (
     D_REPORT_BUDGET,
+    DISPLAY_N_CAP,
     N_REPORT_BUDGET,
     PrecisionInsufficientError,
     _classify_distance,
@@ -219,6 +220,34 @@ def test_tate_profile_dims_monotone_under_divisibility():
                 for m in dims:
                     if m % n == 0:
                         assert dims[n] <= dims[m]
+
+
+def _instances_by_dimension(per_d, seed):
+    rng = random.Random(seed)
+    found = {d: [] for d in range(1, 5)}
+    while any(len(ws) < per_d for ws in found.values()):
+        w = random_weil(rng, d_max=4)
+        if len(found[w.d]) < per_d:
+            found[w.d].append(w)
+    return [w for d in sorted(found) for w in found[d]]
+
+
+def test_tate_profile_rows_match_per_degree_calls():
+    # the one-pass rows against tate_dim for every n and stable_tate_dim;
+    # n_report = (largest row degree bound) + 3 runs past every bound at
+    # d = 1, 2, and is over N_REPORT_BUDGET at d = 3, 4
+    for w in _instances_by_dimension(3, seed=41):
+        bound = max(degree_bound(w.d, k) for k in range(w.d + 1))
+        n_reports = [None, 1, 5000] + ([bound + 3] if bound + 3 <= N_REPORT_BUDGET else [])
+        for n_report in n_reports:
+            profile = tate_profile(w, n_report=n_report)
+            assert (profile.q, profile.d) == (w.q, w.d)
+            assert [row.k for row in profile.rows] == list(range(w.d + 1))
+            for row in profile.rows:
+                n_max = n_report or min(row.degree_bound, DISPLAY_N_CAP)
+                assert row.dims == tuple((n, tate_dim(w, row.k, n)) for n in range(1, n_max + 1))
+                assert (row.stable_dim, row.min_stable_degree) == stable_tate_dim(w, row.k)
+                assert row.degree_bound == degree_bound(w.d, row.k)
 
 
 def test_tate_profile_default_cap():

@@ -152,7 +152,7 @@ def test_gate_rejects_near_misses(h, q):
 def _moduli_oracle(f: IntPoly, q: int) -> bool:
     with mp.workprec(260):
         tol = mp.mpf(2) ** -100 * q
-        return all(abs(abs(r) ** 2 - q) <= tol for r in complex_roots(f, 200))
+        return all(abs(abs(r) ** 2 - q) <= tol for r in complex_roots(f))
 
 
 def test_gate_matches_root_moduli_oracle():
@@ -288,7 +288,7 @@ def test_h_charpoly_root_moduli():
             f = h_charpoly(w, r).poly
             with mp.workprec(300):
                 target = mp.mpf(w.q) ** r
-                for root in complex_roots(f, 220):
+                for root in complex_roots(f):
                     assert abs(abs(root) ** 2 - target) < mp.mpf(2) ** -80 * target
 
 
@@ -354,8 +354,8 @@ def test_base_change_rejects_nonpositive():
 
 def _root_multiset_close(f, g, prec=200):
     with mp.workprec(prec + 64):
-        ra = complex_roots(f, prec)
-        rb = complex_roots(g, prec)
+        ra = complex_roots(f)
+        rb = complex_roots(g)
         tol = mp.mpf(2) ** -(prec // 2)
         rem = list(rb)
         for v in ra:
@@ -374,9 +374,9 @@ def test_base_change_commutes_with_h_charpoly_numeric():
         lhs = h_charpoly(base_change(w, n), r).poly
         base = h_charpoly(w, r).poly
         with mp.workprec(280):
-            roots = complex_roots(base, 220)
+            roots = complex_roots(base)
             powered = [root**n for root in roots]
-            lhs_roots = complex_roots(lhs, 220)
+            lhs_roots = complex_roots(lhs)
             tol = mp.mpf(2) ** -80
             rem = list(lhs_roots)
             for v in powered:
