@@ -1,60 +1,5 @@
 """tatecycles: exact Tate-class dimensions for abelian varieties over finite
-fields, effective non-split-prime bounds, and CM elliptic-curve surveys."""
-
-from .polycore import (
-    IntMatrix,
-    IntPoly,
-    PolyFormatError,
-    charpoly,
-    companion,
-    compound_matrix,
-    cyclotomic,
-    cyclotomic_multiplicity,
-    format_poly,
-    parse_poly,
-)
-from .weil import (
-    CohomPoly,
-    WeilPoly,
-    WeilValidationError,
-    base_change,
-    h_charpoly,
-    product_variety,
-    validate_weil,
-    weil_from_trace,
-)
-from .tate import (
-    PrecisionInsufficientError,
-    TateProfile,
-    TateRow,
-    degree_bound,
-    stable_tate_dim,
-    tate_dim,
-    tate_dim_numeric,
-    tate_profile,
-)
-from .bounds import (
-    RATIONALS,
-    BoundReport,
-    FieldParams,
-    f_of_K,
-    hensel_galois_log_disc,
-    hensel_log_disc,
-    least_nonsplit_bound,
-    bound_B,
-    bound_C,
-)
-from .cmlab import (
-    BudgetExceededError,
-    EllipticCurve,
-    InternalError,
-    ap_cm,
-    ap_pointcount,
-    exe_survey,
-    kronecker,
-    least_nonsplit_search,
-    noncm_rank_check,
-    pi_K_count,
-)
+fields, effective non-split-prime bounds, and CM elliptic-curve surveys.
+Each name is imported from its module, such as ``tatecycles.tate``."""
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .polycore import is_prime
+from .polycore import BudgetExceededError, is_prime
 
 __all__ = [
     "FieldParams",
@@ -58,6 +58,10 @@ __all__ = [
 DEFAULT_PRECISION_BITS = 256
 EXACT_VALUE_MAX_BITS = 4096
 LOG_VALUE_DIGITS = 30
+# caps on f(K) with an exceptional zero, which takes n_K! and prints
+# e^{log|d_K| / n_K}: past them each took seconds (README, "Exit status")
+F_K_MAX_DEGREE = 10**4
+F_K_MAX_EXPONENT = 10**100
 
 _EXCEPTIONAL_FLAGS = ("yes", "no", "unknown")
 
@@ -104,14 +108,11 @@ class BoundReport:
     log_value: object  # mpf
     exact_value: int | None = None
 
-    def log_value_str(self) -> str:
-        return mp.nstr(self.log_value, LOG_VALUE_DIGITS)
-
     def to_record(self) -> dict:
         return {
             "name": self.name,
             "inputs": dict(self.inputs),
-            "log_value": self.log_value_str(),
+            "log_value": mp.nstr(self.log_value, LOG_VALUE_DIGITS),
             "exact_value": str(self.exact_value) if self.exact_value is not None else None,
         }
 
@@ -174,13 +175,16 @@ def f_of_K(fp: FieldParams, precision_bits: int = DEFAULT_PRECISION_BITS):
     """The field constant: n_K^2 without an exceptional zero, otherwise
     max(n_K! * log|d_K|, |d_K|^{1/n_K}) + n_K^2.
 
-    f of the rationals is exactly 1.
+    f of the rationals is exactly 1.  With an exceptional zero, inputs past
+    F_K_MAX_DEGREE or F_K_MAX_EXPONENT raise BudgetExceededError.
     """
     with mp.workprec(precision_bits):
         nk = fp.n_K
         if fp.has_exceptional_zero == "no":
             return mp.mpf(nk * nk)
         logd = mp.mpf(fp.log_abs_disc)
+        if nk > F_K_MAX_DEGREE or logd > F_K_MAX_EXPONENT * nk:
+            raise BudgetExceededError(f"f(K) capped at n_K <= {F_K_MAX_DEGREE}, log|d_K|/n_K <= {F_K_MAX_EXPONENT:.0e}")
         a = factorial(nk) * logd
         b = mp.exp(logd / nk)
         return (a if a > b else b) + nk * nk
@@ -364,6 +368,8 @@ def bound_C(
         ldf = mp.mpf(log_d_F)
         if ldf <= 0:
             raise ValueError("log |d_F| must be positive")
+        if mp.mpf(c1) <= 0:
+            raise ValueError("c1 must be positive")
         n_prime = mp.mpf(2 ** (4 * d)) * factorial(2 * d + 1) * mp.mpf(N) * ldf
         log_b, fk = _log_B(n_prime, fp, factorial(2 * d), 2 ** (2 * d), precision_bits)
         log_value = mp.log(mp.mpf(c1)) + mp.mpf(c) * log_b

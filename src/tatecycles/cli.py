@@ -227,13 +227,16 @@ def _bounds_B(args) -> dict:
 
 def _bounds_C(args) -> dict:
     fp = _field_params(args)
+    c1 = _mpf_arg(args, "c1")
+    if c1 <= 0:
+        raise ValueError(f"--c1 must be positive, got {args.c1!r}")
     return bounds.bound_C(
         _mpf_arg(args, "N"),
         args.d,
         _mpf_arg(args, "log_df"),
         fp,
         _mpf_arg(args, "c"),
-        _mpf_arg(args, "c1"),
+        c1,
         precision_bits=args.precision,
     ).to_record()
 
@@ -253,11 +256,16 @@ BOUNDS_COMMANDS = {
 
 # least working precision at which the printed LOG_VALUE_DIGITS digits mean anything
 MIN_PRECISION_BITS = math.ceil(bounds.LOG_VALUE_DIGITS * math.log2(10))
+# largest working precision; above about 14,300 bits mpmath cannot print a
+# value beyond 2^3500 (measurements in README, "Exit status")
+MAX_PRECISION_BITS = 8192
 
 
 def cmd_bounds(args) -> dict:
     if args.precision < MIN_PRECISION_BITS:
         raise ValueError(f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}")
+    if args.precision > MAX_PRECISION_BITS:
+        raise cmlab.BudgetExceededError(f"--precision capped at {MAX_PRECISION_BITS} bits, got {args.precision}")
     row, echoed = BOUNDS_COMMANDS[args.subcommand]
     inputs = {name: getattr(args, name) for name in echoed}
     inputs["precision_bits"] = args.precision
@@ -326,6 +334,8 @@ def cmd_cm(args) -> dict:
         inputs = {"disc": args.disc, "c": args.c}
         return _report("cm nonsplit", inputs, [row])
     if args.subcommand == "pik":
+        if args.x < 0:
+            raise ValueError(f"--x must be nonnegative, got {args.x}")
         res = cmlab.pi_K_count(args.disc, args.x)
         inputs = {"disc": args.disc, "x": args.x}
         return _report("cm pik", inputs, [res.to_record()])
@@ -413,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_field_args(b_C)
     for p in (b_fk, b_h, b_hg, b_ns, b_B, b_C):
         p.add_argument("--precision", type=int, default=bounds.DEFAULT_PRECISION_BITS,
-                       help=f"working precision in bits (at least {MIN_PRECISION_BITS})")
+                       help=f"working precision in bits ({MIN_PRECISION_BITS} to {MAX_PRECISION_BITS})")
         p.add_argument("--json", action="store_true")
     p_bounds.set_defaults(run=cmd_bounds, human=_human_bounds)
 

@@ -137,10 +137,6 @@ class IntPoly:
             power *= s
         return IntPoly(out)
 
-    def reciprocal(self) -> "IntPoly":
-        """Reverse the coefficients: T^deg * f(1/T)."""
-        return IntPoly(list(reversed(self.coeffs)))
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 

@@ -64,9 +64,9 @@ DISPLAY_N_CAP = 60
 # largest n_report tate_profile tabulates; at d = 2 the CLI report for
 # 10^5 degrees is already 19 MB of JSON
 N_REPORT_BUDGET = 10**5
-# largest dimension tate_profile reports on; at d = 6 the rows take about 8 s
-# and 24 MB (2 cores, Python 3.11.7): 5.1 s of H^{2k} charpolys, 2.3 s for the
-# k = 3 scan (a six-fold elliptic product over F_7)
+# largest dimension tate_profile reports on; at d = 6 the rows take about
+# 5.3 s and 23 MB (2 cores, Python 3.11.7): 4.4 s for the H^6 charpoly, 1.3 s
+# for the k = 3 scan (a six-fold elliptic product over F_7)
 D_REPORT_BUDGET = 5
 NUMERIC_GUARD_MAX_H1_DEGREE = 16
 

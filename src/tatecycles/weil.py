@@ -248,4 +248,4 @@ def reciprocal_form(f: IntPoly) -> IntPoly:
 
     Display-only; every computation in this package uses the monic form.
     """
-    return f.reciprocal()
+    return IntPoly(f.coeffs[::-1])

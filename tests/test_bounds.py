@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from tatecycles.bounds import (
+    F_K_MAX_DEGREE,
+    F_K_MAX_EXPONENT,
     RATIONALS,
     FieldParams,
     f_of_K,
@@ -19,6 +21,7 @@ from tatecycles.bounds import (
     bound_C,
 )
 from tatecycles.bounds import _exact_value
+from tatecycles.polycore import BudgetExceededError
 
 
 def _rel_close(a, b, rel="1e-10"):
@@ -52,6 +55,17 @@ def test_f_of_K_unknown_equals_yes():
     yes = f_of_K(FieldParams(2, log_d, "yes"))
     unknown = f_of_K(FieldParams(2, log_d, "unknown"))
     assert yes == unknown
+
+
+def test_f_of_K_caps():
+    # at the caps f(K) is computed; past them it raises, with no exceptional
+    # zero it is n_K^2 whatever the inputs
+    f_of_K(FieldParams(F_K_MAX_DEGREE, 1, "yes"))
+    f_of_K(FieldParams(3, 3 * F_K_MAX_EXPONENT, "yes"))
+    for fp in (FieldParams(F_K_MAX_DEGREE + 1, 1, "yes"), FieldParams(3, mp.mpf("3.1e100"), "unknown")):
+        with pytest.raises(BudgetExceededError):
+            f_of_K(fp)
+    assert f_of_K(FieldParams(F_K_MAX_DEGREE + 1, mp.mpf("1e10000"), "no")) == (F_K_MAX_DEGREE + 1) ** 2
 
 
 def test_field_params_validation():
@@ -231,6 +245,12 @@ def test_bound_C_exponent_linearity():
 def test_bound_C_rejects_nonpositive_log_df():
     with pytest.raises(ValueError):
         bound_C(1, 1, 0, RATIONALS)
+
+
+@pytest.mark.parametrize("c1", [-1, 0])
+def test_bound_C_rejects_nonpositive_c1(c1):
+    with pytest.raises(ValueError, match="c1 must be positive"):
+        bound_C(1, 1, 1, RATIONALS, c1=c1)
 
 
 def test_bound_C_exact_value_absent_for_d2():

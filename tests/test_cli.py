@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -271,6 +272,17 @@ def test_bounds_rejects_non_finite_reals(capsys, argv, flag):
     assert flag in err and "finite" in err
 
 
+@pytest.mark.parametrize("c1", ["-1", "0"])
+def test_bounds_C_rejects_nonpositive_c1(capsys, c1):
+    # log c1 is complex for c1 < 0 (a traceback) and -inf at 0 (a raw message)
+    code, out, err = run_cli(
+        capsys, "bounds", "C", "--N", "1", "--d", "1", "--log-df", "1", "--nk", "1", "--c1", c1, "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--c1 must be positive" in err
+
+
 def test_bounds_missing_parameter(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bounds", "B", "--N", "2", "--m", "1", "--d", "1"])  # no --nk
@@ -354,6 +366,13 @@ def test_cm_pik(capsys):
     assert report["rows"][0]["count"] == 4
 
 
+def test_cm_pik_rejects_negative_x(capsys):
+    code, out, err = run_cli(capsys, "cm", "pik", "--disc", "-4", "--x", "-5", "--json")
+    assert code == 2
+    assert out == ""
+    assert "--x must be nonnegative" in err
+
+
 def test_cm_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "cm", "pik", "--disc", "-4", "--x", str(10**9))
     assert code == 3
@@ -405,6 +424,35 @@ def test_tate_dimension_budget_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["B", "--N", "2", "--m", "1", "--d", "1", "--nk", "1", "--precision", "1000000"],
+        ["B", "--N", "2", "--m", "1", "--d", "1", "--nk", "1", "--precision", str(cli.MAX_PRECISION_BITS + 1)],
+        ["fk", "--nk", "3", "--log-dk", "1e10000", "--exceptional", "yes"],
+        ["B", "--N", "2", "--m", "1", "--d", "1", "--nk", "3", "--log-dk", "1e5000", "--exceptional", "yes"],
+        ["fk", "--nk", "10001", "--log-dk", "1", "--exceptional", "unknown"],
+    ],
+)
+def test_bounds_budget_exit_code(capsys, argv):
+    # without the caps the first and third ran for more than 60 s and the
+    # fourth exited 2 with Python's message on integer string conversion
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "bounds", *argv, "--json")
+    assert time.monotonic() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded" in err
+
+
+def test_bounds_run_at_their_caps(capsys):
+    report = run_json(
+        capsys, "bounds", "C", "--N", "2", "--d", "1", "--log-df", "1", "--nk", "10000",
+        "--log-dk", "1e104", "--exceptional", "yes", "--precision", str(cli.MAX_PRECISION_BITS),
+    )
+    assert report["rows"][0]["exact_value"] is None
 
 
 @pytest.mark.parametrize("precision", ["0", "-5", "1", "99"])
