@@ -4,7 +4,11 @@ The absolute effective constants that the underlying estimates leave
 unspecified are exposed as parameters (default 1) and echoed in every report,
 so the formulas are runnable without inventing constants.  Factorials and
 powers of two are exact integers; everything else is mpmath real arithmetic
-at a per-call working precision (default 256 bits).
+at a per-call working precision (default 256 bits, at most
+MAX_PRECISION_BITS).  This module is also where the command line reads its
+real-number arguments (``parse_real``) and prints real values
+(``format_real``, LOG_VALUE_DIGITS significant digits), so no other module
+needs mpmath to handle them.
 
 ``least_nonsplit_bound`` runs once per discriminant in a sweep, so it works on
 raw mpf tuples (``mpmath.libmp``) and passes the precision to each operation,
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import ceil, factorial, log2
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -52,16 +56,29 @@ __all__ = [
     "least_nonsplit_bound",
     "bound_B",
     "bound_C",
+    "parse_real",
+    "format_real",
     "DEFAULT_PRECISION_BITS",
+    "MIN_PRECISION_BITS",
+    "MAX_PRECISION_BITS",
 ]
 
 DEFAULT_PRECISION_BITS = 256
 EXACT_VALUE_MAX_BITS = 4096
 LOG_VALUE_DIGITS = 30
+# least working precision at which the printed LOG_VALUE_DIGITS digits mean anything
+MIN_PRECISION_BITS = ceil(LOG_VALUE_DIGITS * log2(10))
+# largest working precision; above about 14,300 bits mpmath cannot print a
+# value beyond 2^3500 (measurements in README, "Exit status")
+MAX_PRECISION_BITS = 8192
 # caps on f(K) with an exceptional zero, which takes n_K! and prints
 # e^{log|d_K| / n_K}: past them each took seconds (README, "Exit status")
 F_K_MAX_DEGREE = 10**4
 F_K_MAX_EXPONENT = 10**100
+# largest d for C: its report echoes B_m = (2d)!, which has 4,300 digits at
+# d = 779, Python's default limit on int-to-str conversion; up to the cap the
+# time does not grow with d (0.03-0.05 s at 8192 bits from d = 10 to 779)
+C_MAX_DIMENSION = 779
 
 _EXCEPTIONAL_FLAGS = ("yes", "no", "unknown")
 
@@ -89,6 +106,40 @@ class FieldParams:
 RATIONALS = FieldParams(1, 0, "no")
 
 
+def _check_precision(precision_bits: int) -> None:
+    if precision_bits > MAX_PRECISION_BITS:
+        raise BudgetExceededError(f"precision capped at {MAX_PRECISION_BITS} bits, got {precision_bits}")
+
+
+def parse_real(text: str, flag: str, precision_bits: int = DEFAULT_PRECISION_BITS):
+    """``text`` read as a real number at ``precision_bits``; a non-number,
+    nan or an infinity is a ValueError naming ``flag``.
+
+    >>> parse_real("inf", "--c")
+    Traceback (most recent call last):
+    ...
+    ValueError: --c must be a finite real number, got 'inf'
+    """
+    _check_precision(precision_bits)
+    try:
+        with mp.workprec(precision_bits):
+            value = mp.mpf(text)
+    except ValueError:
+        value = None
+    if value is None or not mp.isfinite(value):
+        raise ValueError(f"{flag} must be a finite real number, got {text!r}")
+    return value
+
+
+def format_real(value) -> str:
+    """A real value as reports print it: LOG_VALUE_DIGITS significant digits.
+
+    >>> format_real(parse_real("1e-3", "--c"))
+    '0.001'
+    """
+    return mp.nstr(value, LOG_VALUE_DIGITS)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Log-space value of a named bound with every input echoed.
@@ -112,7 +163,7 @@ class BoundReport:
         return {
             "name": self.name,
             "inputs": dict(self.inputs),
-            "log_value": mp.nstr(self.log_value, LOG_VALUE_DIGITS),
+            "log_value": format_real(self.log_value),
             "exact_value": str(self.exact_value) if self.exact_value is not None else None,
         }
 
@@ -120,7 +171,7 @@ class BoundReport:
 def _fp_inputs(fp: FieldParams) -> list[tuple[str, str]]:
     return [
         ("n_K", str(fp.n_K)),
-        ("log_abs_disc_K", mp.nstr(mp.mpf(fp.log_abs_disc), LOG_VALUE_DIGITS)),
+        ("log_abs_disc_K", format_real(mp.mpf(fp.log_abs_disc))),
         ("has_exceptional_zero", fp.has_exceptional_zero),
     ]
 
@@ -178,6 +229,7 @@ def f_of_K(fp: FieldParams, precision_bits: int = DEFAULT_PRECISION_BITS):
     f of the rationals is exactly 1.  With an exceptional zero, inputs past
     F_K_MAX_DEGREE or F_K_MAX_EXPONENT raise BudgetExceededError.
     """
+    _check_precision(precision_bits)
     with mp.workprec(precision_bits):
         nk = fp.n_K
         if fp.has_exceptional_zero == "no":
@@ -201,6 +253,7 @@ def _check_primes(ps) -> list[int]:
 def hensel_log_disc(n_L: int, ramified_primes, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Upper bound for log d_L from the degree and the ramified primes:
     (n_L - 1) * sum log p + n_L * log(n_L) * #primes."""
+    _check_precision(precision_bits)
     if n_L < 1:
         raise ValueError("degree must be >= 1")
     ps = _check_primes(ramified_primes)
@@ -219,6 +272,7 @@ def hensel_galois_log_disc(
 ):
     """Sharper bound when L/K is Galois:
     (n_L - n_K) * sum log p + n_L * (log n_L - log n_K) + (n_L/n_K) * log d_K."""
+    _check_precision(precision_bits)
     if n_K < 1 or n_L < 1:
         raise ValueError("degrees must be >= 1")
     if n_L % n_K:
@@ -245,10 +299,10 @@ def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, precision_bits
         log_const = mp.log(55)
         tail = (
             ("n", str(n)),
-            ("c", mp.nstr(mp.mpf(c), LOG_VALUE_DIGITS)),
+            ("c", format_real(mp.mpf(c))),
             ("constants_pinned", "no"),  # c is an unspecified absolute constant
-            ("f_K", mp.nstr(fk, LOG_VALUE_DIGITS)),
-            ("branch_constant_log", mp.nstr(log_const, LOG_VALUE_DIGITS)),
+            ("f_K", format_real(fk)),
+            ("branch_constant_log", format_real(log_const)),
         )
         c_fk = mp.mpf(c) * fk
         slope = mp.mpf(5) / (2 * (n - 1))
@@ -267,6 +321,7 @@ def least_nonsplit_bound(
 
     Both branches and the active one are echoed in the report.
     """
+    _check_precision(precision_bits)
     if n < 2:
         raise ValueError("relative degree must be >= 2")
     c_fk, slope, log_const, head, tail = _nonsplit_invariants(
@@ -328,15 +383,16 @@ def bound_B(
     >>> 15.5 < float(mp.exp(r.log_value)) < 15.7
     True
     """
+    _check_precision(precision_bits)
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
     with mp.workprec(precision_bits):
         log_value, fk = _log_B(N, fp, m, d, precision_bits)
         inputs = [
-            ("N", mp.nstr(mp.mpf(N), LOG_VALUE_DIGITS)),
+            ("N", format_real(mp.mpf(N))),
             ("m", str(m)),
             ("d", str(d)),
-        ] + _fp_inputs(fp) + [("f_K", mp.nstr(fk, LOG_VALUE_DIGITS))]
+        ] + _fp_inputs(fp) + [("f_K", format_real(fk))]
         return BoundReport(
             name="bound_B",
             inputs=tuple(inputs),
@@ -360,10 +416,14 @@ def bound_C(
     the Frobenius action at primes of norm up to C.
 
     The composite first argument of B is a real number; factorials and the
-    powers of two are exact.
+    powers of two are exact.  A d above C_MAX_DIMENSION raises
+    BudgetExceededError.
     """
+    _check_precision(precision_bits)
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if d > C_MAX_DIMENSION:
+        raise BudgetExceededError(f"C capped at d <= {C_MAX_DIMENSION}")
     with mp.workprec(precision_bits):
         ldf = mp.mpf(log_d_F)
         if ldf <= 0:
@@ -374,17 +434,17 @@ def bound_C(
         log_b, fk = _log_B(n_prime, fp, factorial(2 * d), 2 ** (2 * d), precision_bits)
         log_value = mp.log(mp.mpf(c1)) + mp.mpf(c) * log_b
         inputs = [
-            ("N", mp.nstr(mp.mpf(N), LOG_VALUE_DIGITS)),
+            ("N", format_real(mp.mpf(N))),
             ("d", str(d)),
-            ("log_abs_disc_F", mp.nstr(ldf, LOG_VALUE_DIGITS)),
-            ("c", mp.nstr(mp.mpf(c), LOG_VALUE_DIGITS)),
-            ("c1", mp.nstr(mp.mpf(c1), LOG_VALUE_DIGITS)),
+            ("log_abs_disc_F", format_real(ldf)),
+            ("c", format_real(mp.mpf(c))),
+            ("c1", format_real(mp.mpf(c1))),
             ("constants_pinned", "no"),  # c, c1 are unspecified absolute constants
-            ("B_first_argument", mp.nstr(n_prime, LOG_VALUE_DIGITS)),
+            ("B_first_argument", format_real(n_prime)),
             ("B_m", str(factorial(2 * d))),
             ("B_d", str(2 ** (2 * d))),
-            ("log_B", mp.nstr(log_b, LOG_VALUE_DIGITS)),
-        ] + _fp_inputs(fp) + [("f_K", mp.nstr(fk, LOG_VALUE_DIGITS))]
+            ("log_B", format_real(log_b)),
+        ] + _fp_inputs(fp) + [("f_K", format_real(fk))]
         return BoundReport(
             name="bound_C",
             inputs=tuple(inputs),

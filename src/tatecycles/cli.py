@@ -9,6 +9,9 @@ serialized as strings.
 
 Exit status: 0 success, 2 input error, 3 computational budget exceeded,
 4 internal invariant violation (including --verify mismatches).
+
+``bounds`` and ``cmlab``, and with them mpmath, are imported by the commands
+that use them, so building the parser and running ``tate`` load neither.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ import math
 import sys
 import time
 
-from mpmath import mp
-
-from . import __version__, bounds, cmlab, tate, weil
+from . import __version__, tate, weil
 from .jsonout import write_json
-from .polycore import PolyFormatError, format_poly, parse_poly
+from .polycore import BudgetExceededError, InternalError, PolyFormatError, format_poly, parse_poly
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -152,28 +153,20 @@ def _verify_tate(path: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # bounds
+#
+# Each report row takes the bounds module from cmd_bounds, which imports it.
 
-def _mpf_arg(args, name: str, precision: int | None = None):
-    """The real number given as ``--name``, read at the working precision;
-    a non-number, nan or an infinity is an input error naming the flag."""
-    text = getattr(args, name)
-    try:
-        with mp.workprec(precision or args.precision):
-            value = mp.mpf(text)
-    except ValueError:
-        value = None
-    if value is None or not mp.isfinite(value):
-        flag = "--" + name.replace("_", "-")
-        raise ValueError(f"{flag} must be a finite real number, got {text!r}")
-    return value
+def _real(bounds, args, name: str):
+    """The real number given as ``--name``, read at the working precision."""
+    return bounds.parse_real(getattr(args, name), "--" + name.replace("_", "-"), args.precision)
 
 
-def _field_params(args) -> bounds.FieldParams:
-    return bounds.FieldParams(args.nk, _mpf_arg(args, "log_dk"), args.exceptional)
+def _field_params(bounds, args):
+    return bounds.FieldParams(args.nk, _real(bounds, args, "log_dk"), args.exceptional)
 
 
-def _bounds_fk(args) -> dict:
-    value = bounds.f_of_K(_field_params(args), precision_bits=args.precision)
+def _bounds_fk(bounds, args) -> dict:
+    value = bounds.f_of_K(_field_params(bounds, args), precision_bits=args.precision)
     return {
         "name": "f_of_K",
         "inputs": {
@@ -181,24 +174,24 @@ def _bounds_fk(args) -> dict:
             "log_abs_disc_K": args.log_dk,
             "has_exceptional_zero": args.exceptional,
         },
-        "value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
+        "value": bounds.format_real(value),
     }
 
 
-def _bounds_hensel(args) -> dict:
+def _bounds_hensel(bounds, args) -> dict:
     primes = _parse_int_list(args.primes)
     value = bounds.hensel_log_disc(args.nl, primes, precision_bits=args.precision)
     return {
         "name": "hensel_log_disc",
         "inputs": {"n_L": str(args.nl), "ramified_primes": args.primes},
-        "log_value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
+        "log_value": bounds.format_real(value),
     }
 
 
-def _bounds_hensel_galois(args) -> dict:
+def _bounds_hensel_galois(bounds, args) -> dict:
     primes = _parse_int_list(args.primes)
     value = bounds.hensel_galois_log_disc(
-        args.nl, args.nk, _mpf_arg(args, "log_dk"), primes, precision_bits=args.precision
+        args.nl, args.nk, _real(bounds, args, "log_dk"), primes, precision_bits=args.precision
     )
     return {
         "name": "hensel_galois_log_disc",
@@ -208,34 +201,34 @@ def _bounds_hensel_galois(args) -> dict:
             "log_abs_disc_K": args.log_dk,
             "ramified_primes": args.primes,
         },
-        "log_value": mp.nstr(value, bounds.LOG_VALUE_DIGITS),
+        "log_value": bounds.format_real(value),
     }
 
 
-def _bounds_nonsplit(args) -> dict:
-    fp = _field_params(args)
+def _bounds_nonsplit(bounds, args) -> dict:
+    fp = _field_params(bounds, args)
     rep = bounds.least_nonsplit_bound(
-        fp, _mpf_arg(args, "log_dl"), args.n, _mpf_arg(args, "c"), precision_bits=args.precision
+        fp, _real(bounds, args, "log_dl"), args.n, _real(bounds, args, "c"), precision_bits=args.precision
     )
     return rep.to_record()
 
 
-def _bounds_B(args) -> dict:
-    fp = _field_params(args)
-    return bounds.bound_B(_mpf_arg(args, "N"), fp, args.m, args.d, precision_bits=args.precision).to_record()
+def _bounds_B(bounds, args) -> dict:
+    fp = _field_params(bounds, args)
+    return bounds.bound_B(_real(bounds, args, "N"), fp, args.m, args.d, precision_bits=args.precision).to_record()
 
 
-def _bounds_C(args) -> dict:
-    fp = _field_params(args)
-    c1 = _mpf_arg(args, "c1")
+def _bounds_C(bounds, args) -> dict:
+    fp = _field_params(bounds, args)
+    c1 = _real(bounds, args, "c1")
     if c1 <= 0:
         raise ValueError(f"--c1 must be positive, got {args.c1!r}")
     return bounds.bound_C(
-        _mpf_arg(args, "N"),
+        _real(bounds, args, "N"),
         args.d,
-        _mpf_arg(args, "log_df"),
+        _real(bounds, args, "log_df"),
         fp,
-        _mpf_arg(args, "c"),
+        _real(bounds, args, "c"),
         c1,
         precision_bits=args.precision,
     ).to_record()
@@ -254,22 +247,29 @@ BOUNDS_COMMANDS = {
 }
 
 
-# least working precision at which the printed LOG_VALUE_DIGITS digits mean anything
-MIN_PRECISION_BITS = math.ceil(bounds.LOG_VALUE_DIGITS * math.log2(10))
-# largest working precision; above about 14,300 bits mpmath cannot print a
-# value beyond 2^3500 (measurements in README, "Exit status")
-MAX_PRECISION_BITS = 8192
-
-
 def cmd_bounds(args) -> dict:
-    if args.precision < MIN_PRECISION_BITS:
-        raise ValueError(f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}")
-    if args.precision > MAX_PRECISION_BITS:
-        raise cmlab.BudgetExceededError(f"--precision capped at {MAX_PRECISION_BITS} bits, got {args.precision}")
+    from . import bounds
+
+    if args.precision is None:
+        args.precision = bounds.DEFAULT_PRECISION_BITS
+    if args.precision < bounds.MIN_PRECISION_BITS:
+        raise ValueError(f"--precision must be at least {bounds.MIN_PRECISION_BITS} bits, got {args.precision}")
     row, echoed = BOUNDS_COMMANDS[args.subcommand]
     inputs = {name: getattr(args, name) for name in echoed}
     inputs["precision_bits"] = args.precision
-    return _report(f"bounds {args.subcommand}", inputs, [row(args)], precision_bits=args.precision)
+    return _report(f"bounds {args.subcommand}", inputs, [row(bounds, args)], precision_bits=args.precision)
+
+
+class _BoundsHelpFormatter(argparse.HelpFormatter):
+    """Reads the --precision range from bounds, so only a bounds --help
+    imports it."""
+
+    def _get_help_string(self, action):
+        if action.dest != "precision":
+            return action.help
+        from . import bounds
+
+        return f"working precision in bits ({bounds.MIN_PRECISION_BITS} to {bounds.MAX_PRECISION_BITS})"
 
 
 def _human_bounds(report: dict) -> None:
@@ -302,6 +302,8 @@ def _parse_int_list(text: str) -> list[int]:
 # cm
 
 def cmd_cm(args) -> dict:
+    from . import bounds, cmlab
+
     if args.subcommand == "survey":
         rows, density = cmlab.exe_survey(args.disc, args.pmax)
         records = [r.to_record() for r in rows]
@@ -323,11 +325,10 @@ def cmd_cm(args) -> dict:
         inputs = {"curve": args.curve, "pmax": args.pmax}
         return _report("cm noncm", inputs, records)
     if args.subcommand == "nonsplit":
-        c = _mpf_arg(args, "c", bounds.DEFAULT_PRECISION_BITS)
-        res = cmlab.least_nonsplit_search(args.disc, c=c)
+        res = cmlab.least_nonsplit_search(args.disc, c=bounds.parse_real(args.c, "--c"))
         row = {
             "found_prime": res.found_prime,
-            "theoretical_log_bound": mp.nstr(res.theoretical_log_bound, bounds.LOG_VALUE_DIGITS),
+            "theoretical_log_bound": bounds.format_real(res.theoretical_log_bound),
             "satisfied": res.satisfied,
             "bound": res.bound.to_record(),
         }
@@ -422,9 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     b_C.add_argument("--c1", default="1")
     add_field_args(b_C)
     for p in (b_fk, b_h, b_hg, b_ns, b_B, b_C):
-        p.add_argument("--precision", type=int, default=bounds.DEFAULT_PRECISION_BITS,
-                       help=f"working precision in bits ({MIN_PRECISION_BITS} to {MAX_PRECISION_BITS})")
+        # the default (bounds.DEFAULT_PRECISION_BITS) is filled in by cmd_bounds
+        p.add_argument("--precision", type=int, help="working precision in bits")
         p.add_argument("--json", action="store_true")
+        p.formatter_class = _BoundsHelpFormatter
     p_bounds.set_defaults(run=cmd_bounds, human=_human_bounds)
 
     p_cm = sub.add_parser("cm", help="prime surveys")
@@ -459,10 +461,10 @@ def main(argv=None) -> int:
         if isinstance(exc, weil.WeilValidationError):
             print("hint: pass a monic Weil polynomial as coefficients from the constant term up", file=sys.stderr)
         return EXIT_INPUT
-    except cmlab.BudgetExceededError as exc:
+    except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (cmlab.InternalError, VerifyMismatchError, AssertionError) as exc:
+    except (InternalError, VerifyMismatchError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     _emit(report, getattr(args, "json", False), args.human)

@@ -32,7 +32,7 @@ from mpmath import mp
 from mpmath.libmp import from_int, mpf_le, mpf_log, round_nearest
 
 from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, FieldParams, least_nonsplit_bound
-from .polycore import BudgetExceededError, IntPoly, factorization, is_prime
+from .polycore import BudgetExceededError, IntPoly, InternalError, factorization, is_prime
 from .tate import stable_tate_dim, tate_dim
 from .weil import WeilPoly
 
@@ -66,10 +66,6 @@ POINTCOUNT_BUDGET = 10**6
 SURVEY_BUDGET = 10**7
 NONCM_BUDGET = 10**4
 PIK_BUDGET = 10**8
-
-
-class InternalError(Exception):
-    """An invariant that should hold for valid inputs failed."""
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ __all__ = [
     "IntMatrix",
     "PolyFormatError",
     "BudgetExceededError",
+    "InternalError",
     "parse_poly",
     "format_poly",
     "cyclotomic",
@@ -242,6 +243,10 @@ FACTOR_TRIAL_BOUND = 10**6
 
 class BudgetExceededError(Exception):
     """A requested computation exceeds the naive-enumeration budget."""
+
+
+class InternalError(Exception):
+    """An invariant that should hold for valid inputs failed."""
 
 
 def factorization(n: int) -> tuple[tuple[int, int], ...]:

@@ -30,12 +30,9 @@ consecutive batches before it is reduced modulo each of them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lcm, prod
-
-from mpmath import mp
 
 from .polycore import (
     BudgetExceededError,
@@ -46,16 +43,14 @@ from .polycore import (
     factorization,
     is_prime,
 )
-from .weil import WeilPoly, complex_roots, h_charpoly
+from .weil import WeilPoly, h_charpoly
 
 __all__ = [
     "TateRow",
     "TateProfile",
-    "PrecisionInsufficientError",
     "tate_dim",
     "stable_tate_dim",
     "tate_profile",
-    "tate_dim_numeric",
     "degree_bound",
     "totient_bounded_set",
 ]
@@ -68,12 +63,6 @@ N_REPORT_BUDGET = 10**5
 # 5.3 s and 23 MB (2 cores, Python 3.11.7): 4.4 s for the H^6 charpoly, 1.3 s
 # for the k = 3 scan (a six-fold elliptic product over F_7)
 D_REPORT_BUDGET = 5
-NUMERIC_GUARD_MAX_H1_DEGREE = 16
-
-
-class PrecisionInsufficientError(ArithmeticError):
-    """The numeric oracle could not classify a subset product at the
-    requested precision."""
 
 
 @lru_cache(maxsize=None)
@@ -290,51 +279,3 @@ def tate_profile(w: WeilPoly, n_report: int | None = None) -> TateProfile:
             TateRow(k=k, dims=dims, stable_dim=stable, min_stable_degree=min_deg, degree_bound=bound)
         )
     return TateProfile(q=w.q, d=w.d, rows=tuple(rows))
-
-
-def _classify_distance(dist, threshold, band) -> bool:
-    """True if the distance counts as zero, False if confidently nonzero;
-    raises in the ambiguous band around the threshold."""
-    if threshold / band <= dist <= threshold * band:
-        raise PrecisionInsufficientError(
-            f"distance {mp.nstr(dist, 8)} falls within a factor {mp.nstr(band, 4)} "
-            f"of the threshold {mp.nstr(threshold, 8)}"
-        )
-    return dist < threshold
-
-
-@lru_cache(maxsize=32)
-def _h1_roots(f: IntPoly, work: int) -> tuple:
-    with mp.workprec(work):
-        return tuple(complex_roots(f))
-
-
-def tate_dim_numeric(w: WeilPoly, k: int, n: int, precision_bits: int = 200) -> int:
-    """Brute-force oracle: find all H^1 roots numerically, enumerate the
-    2k-element subsets, and count products with alpha_I^n = q^{kn}.
-
-    Counts |alpha_I^n - q^{kn}| below 2^{-precision_bits/2} * q^{kn} as zero
-    and raises PrecisionInsufficientError whenever a distance lands within a
-    factor 2^{precision_bits/4} of that threshold.  Independent of the exact
-    cyclotomic path: no compound matrices, no cyclotomic polynomials.
-    """
-    _check_codim(w.d, k, n)
-    if 2 * w.d > NUMERIC_GUARD_MAX_H1_DEGREE:
-        raise ValueError(f"subset enumeration guard: 2d must be <= {NUMERIC_GUARD_MAX_H1_DEGREE}")
-    coeff_bits = max(abs(c).bit_length() for c in w.poly.coeffs)
-    work = precision_bits + coeff_bits + 2 * n * k * w.q.bit_length() + 64
-    work = -(-work // 256) * 256  # rounded up, so that (k, n) pairs share roots
-    with mp.workprec(work):
-        roots = _h1_roots(w.poly, work)
-        target = mp.mpf(w.q) ** (k * n)
-        threshold = mp.mpf(2) ** (-(precision_bits // 2)) * target
-        band = mp.mpf(2) ** (precision_bits // 4)
-        count = 0
-        for I in itertools.combinations(range(2 * w.d), 2 * k):
-            prod = mp.mpc(1)
-            for i in I:
-                prod *= roots[i]
-            dist = abs(prod**n - target)
-            if _classify_distance(dist, threshold, band):
-                count += 1
-    return count

@@ -10,7 +10,7 @@ coefficient-reversed polynomial and is produced only at display time (see
 Validation is exact.  The functional equation makes f(T) = T^d h(T + q/T),
 and every root of f has modulus sqrt(q) exactly when every root of h is real
 and in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya 2008), which a Sturm count decides in
-integers; only the ``complex_roots`` oracle uses floating point.
+integers; nothing here uses floating point.
 
 The characteristic polynomials on H^r and the base changes to extensions are
 computed in integer arithmetic from power sums by Newton's identities; this
@@ -24,9 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import mpmath
-from mpmath import mp
-
 from .polycore import (
     IntPoly,
     _newton_coefficients,
@@ -34,14 +31,13 @@ from .polycore import (
     from_power_sums,
     power_sums,
     real_root_count,
-    squarefree_decomposition,
     squarefree_part,
 )
 
 # Nothing here calls these any more.  bench/tracer.py wraps them under these
-# names to time the compound-matrix route, so they stay bound until the
-# benchmark drops those two probes.
-from .polycore import charpoly, compound_matrix  # noqa: F401
+# names (the compound-matrix route and Yun's decomposition), so they stay
+# bound until the benchmark drops those probes.
+from .polycore import charpoly, compound_matrix, squarefree_decomposition  # noqa: F401
 
 __all__ = [
     "WeilPoly",
@@ -53,7 +49,6 @@ __all__ = [
     "h_charpoly",
     "base_change",
     "reciprocal_form",
-    "complex_roots",
 ]
 
 
@@ -104,28 +99,6 @@ def _characteristic(q: int) -> int:
     if len(pe) != 1:
         raise WeilValidationError("NotPrimePower", f"q = {q} is not a prime power")
     return pe[0][0]
-
-
-def complex_roots(f: IntPoly):
-    """All complex roots of f with multiplicity, as mpmath complex numbers.
-
-    Roots are found on the squarefree factors (so repeated roots do not
-    degrade accuracy) and replicated according to the Yun multiplicities.
-    The accuracy is the caller's: call inside an mp.workprec context as wide
-    as the precision wanted; polyroots adds only the coefficient bit length
-    to that context.
-    """
-    roots = []
-    for g, e in squarefree_decomposition(f):
-        if g.degree == 0:
-            continue
-        desc = [mp.mpf(c) for c in reversed(g.coeffs)]
-        extra = max(abs(c).bit_length() for c in g.coeffs)
-        found = mpmath.polyroots(desc, maxsteps=200, extraprec=extra)
-        for r in found:
-            roots.extend([mp.mpc(r)] * e)
-    assert len(roots) == f.degree
-    return roots
 
 
 def _root_moduli_ok(f: IntPoly, q: int) -> bool:

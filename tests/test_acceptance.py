@@ -13,6 +13,7 @@ import pytest
 from mpmath import mp
 
 from conftest import instance_suite
+from oracles import PrecisionInsufficientError, complex_roots, tate_dim_numeric
 from tatecycles.bounds import (
     RATIONALS,
     FieldParams,
@@ -43,14 +44,8 @@ from tatecycles.polycore import (
     cyclotomic,
     divisors,
 )
-from tatecycles.tate import (
-    PrecisionInsufficientError,
-    degree_bound,
-    stable_tate_dim,
-    tate_dim,
-    tate_dim_numeric,
-)
-from tatecycles.weil import base_change, complex_roots, product_variety, weil_from_trace
+from tatecycles.tate import degree_bound, stable_tate_dim, tate_dim
+from tatecycles.weil import base_change, product_variety, weil_from_trace
 
 P_MAX_SURVEY = 10**5
 SUITE_SIZE = 200

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from tatecycles.bounds import (
+    C_MAX_DIMENSION,
     F_K_MAX_DEGREE,
     F_K_MAX_EXPONENT,
+    MAX_PRECISION_BITS,
     RATIONALS,
     FieldParams,
     f_of_K,
@@ -19,6 +21,7 @@ from tatecycles.bounds import (
     least_nonsplit_bound,
     bound_B,
     bound_C,
+    parse_real,
 )
 from tatecycles.bounds import _exact_value
 from tatecycles.polycore import BudgetExceededError
@@ -256,6 +259,37 @@ def test_bound_C_rejects_nonpositive_c1(c1):
 def test_bound_C_exact_value_absent_for_d2():
     rep = bound_C(1, 2, mp.log(4), RATIONALS)
     assert rep.exact_value is None  # log C far beyond 4096 bits
+
+
+def test_bound_C_dimension_cap():
+    # B_m = (2d)! is echoed in full; one more d and Python refuses to print it
+    rep = bound_C(2, C_MAX_DIMENSION, 1, RATIONALS)
+    assert dict(rep.inputs)["B_m"] == str(factorial(2 * C_MAX_DIMENSION))
+    with pytest.raises(BudgetExceededError, match="capped at d"):
+        bound_C(2, C_MAX_DIMENSION + 1, 1, RATIONALS)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda prec: bound_B(2, FieldParams(3, mp.mpf("1e6"), "yes"), 1, 1, prec),
+        lambda prec: bound_C(2, 1, 1, RATIONALS, precision_bits=prec),
+        lambda prec: f_of_K(RATIONALS, prec),
+        lambda prec: hensel_log_disc(2, [2], prec),
+        lambda prec: hensel_galois_log_disc(2, 1, 0, [2], prec),
+        lambda prec: least_nonsplit_bound(RATIONALS, 1, 2, precision_bits=prec),
+        lambda prec: parse_real("1", "--c", prec),
+    ],
+    ids=["B", "C", "f_of_K", "hensel", "hensel_galois", "nonsplit", "parse_real"],
+)
+def test_precision_cap(call):
+    # above about 14,300 bits the first call raised mpmath's ValueError on
+    # printing a 4300-digit integer
+    call(MAX_PRECISION_BITS)
+    with pytest.raises(BudgetExceededError, match="precision capped"):
+        call(MAX_PRECISION_BITS + 1)
+    with pytest.raises(BudgetExceededError):
+        call(16384)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tatecycles import cli
+from tatecycles import bounds, cli
 from tatecycles.polycore import IntPoly
 
 
@@ -430,15 +430,17 @@ def test_tate_dimension_budget_exit_code(capsys):
     "argv",
     [
         ["B", "--N", "2", "--m", "1", "--d", "1", "--nk", "1", "--precision", "1000000"],
-        ["B", "--N", "2", "--m", "1", "--d", "1", "--nk", "1", "--precision", str(cli.MAX_PRECISION_BITS + 1)],
+        ["B", "--N", "2", "--m", "1", "--d", "1", "--nk", "1", "--precision", str(bounds.MAX_PRECISION_BITS + 1)],
         ["fk", "--nk", "3", "--log-dk", "1e10000", "--exceptional", "yes"],
         ["B", "--N", "2", "--m", "1", "--d", "1", "--nk", "3", "--log-dk", "1e5000", "--exceptional", "yes"],
         ["fk", "--nk", "10001", "--log-dk", "1", "--exceptional", "unknown"],
+        ["C", "--d", "780", "--N", "2", "--log-df", "1", "--nk", "1"],
     ],
 )
 def test_bounds_budget_exit_code(capsys, argv):
     # without the caps the first and third ran for more than 60 s and the
-    # fourth exited 2 with Python's message on integer string conversion
+    # fourth and sixth exited 2 with Python's message on integer string
+    # conversion
     start = time.monotonic()
     code, out, err = run_cli(capsys, "bounds", *argv, "--json")
     assert time.monotonic() - start < 1
@@ -450,7 +452,7 @@ def test_bounds_budget_exit_code(capsys, argv):
 def test_bounds_run_at_their_caps(capsys):
     report = run_json(
         capsys, "bounds", "C", "--N", "2", "--d", "1", "--log-df", "1", "--nk", "10000",
-        "--log-dk", "1e104", "--exceptional", "yes", "--precision", str(cli.MAX_PRECISION_BITS),
+        "--log-dk", "1e104", "--exceptional", "yes", "--precision", str(bounds.MAX_PRECISION_BITS),
     )
     assert report["rows"][0]["exact_value"] is None
 
@@ -466,6 +468,14 @@ def test_bounds_precision_floor(capsys, precision):
     assert "--precision" in err
     report = run_json(capsys, "bounds", "B", "--N", "2", "--nk", "1", "--m", "1", "--d", "1", "--precision", "100")
     assert report["rows"][0]["exact_value"] == "16"
+
+
+def test_bounds_help_gives_the_precision_range(capsys):
+    # the parser leaves the range to bounds, read only when the help is printed
+    with pytest.raises(SystemExit):
+        cli.main(["bounds", "B", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"working precision in bits ({bounds.MIN_PRECISION_BITS} to {bounds.MAX_PRECISION_BITS})" in help_text
 
 
 def test_factor_budget_edge_resolves(capsys):

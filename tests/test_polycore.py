@@ -9,6 +9,7 @@ from math import comb, gcd, isqrt, lcm
 import pytest
 from mpmath import mp
 
+from oracles import complex_roots
 from tatecycles.cmlab import primes_up_to
 from tatecycles.polycore import (
     _SPRP_EXACT_BELOW,
@@ -37,7 +38,6 @@ from tatecycles.polycore import (
     squarefree_part,
 )
 from tatecycles.tate import totient_bounded_set
-from tatecycles.weil import complex_roots
 
 T = IntPoly([0, 1])
 

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 
 from conftest import instance_suite, random_weil
+from oracles import PrecisionInsufficientError, _classify_distance, tate_dim_numeric
 from tatecycles import polycore
 from tatecycles.polycore import (
     BudgetExceededError,
@@ -21,15 +22,12 @@ from tatecycles.tate import (
     D_REPORT_BUDGET,
     DISPLAY_N_CAP,
     N_REPORT_BUDGET,
-    PrecisionInsufficientError,
-    _classify_distance,
     _cyclotomic_scan,
     _unity_ratio_multiplicities,
     _witness_table,
     degree_bound,
     stable_tate_dim,
     tate_dim,
-    tate_dim_numeric,
     tate_profile,
     totient_bounded_set,
 )

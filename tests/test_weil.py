@@ -9,11 +9,11 @@ import pytest
 from mpmath import mp
 
 from conftest import instance_suite, random_weil
+from oracles import complex_roots
 from tatecycles.polycore import IntPoly, charpoly, companion, compound_matrix, factorization
 from tatecycles.weil import (
     WeilValidationError,
     base_change,
-    complex_roots,
     h_charpoly,
     product_variety,
     reciprocal_form,
