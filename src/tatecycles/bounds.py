@@ -277,6 +277,8 @@ def hensel_galois_log_disc(
         raise ValueError("degrees must be >= 1")
     if n_L % n_K:
         raise ValueError(f"n_K = {n_K} does not divide n_L = {n_L}")
+    if mp.mpf(log_d_K) < 0:
+        raise ValueError("log |d_K| must be >= 0")
     ps = _check_primes(ramified_primes_over_K)
     with mp.workprec(precision_bits):
         total = (n_L - n_K) * mp.fsum(mp.log(p) for p in ps)
@@ -329,6 +331,8 @@ def least_nonsplit_bound(
     )
     prec = precision_bits
     ldl = mp.mpf(log_d_L, prec=prec)._mpf_
+    if ldl[0]:  # the sign bit of the raw mpf
+        raise ValueError("log |d_L| must be >= 0")
     log_formula = mpf_add(c_fk, mpf_mul(slope, ldl, prec, round_nearest), prec, round_nearest)
     formula_wins = mpf_gt(log_formula, log_const)
     log_value = log_formula if formula_wins else log_const

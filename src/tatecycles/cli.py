@@ -305,8 +305,9 @@ def cmd_cm(args) -> dict:
     from . import bounds, cmlab
 
     if args.subcommand == "survey":
-        rows, density = cmlab.exe_survey(args.disc, args.pmax)
-        records = [r.to_record() for r in rows]
+        records, density = cmlab.exe_survey(args.disc, args.pmax)
+        for i, row in enumerate(records):
+            records[i] = row.to_record()  # each row is freed as its record is made
         records.append({"density": density.to_record()})
         inputs = {"disc": args.disc, "pmax": args.pmax}
         return _report("cm survey", inputs, records)

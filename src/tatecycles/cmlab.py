@@ -16,7 +16,9 @@ that skip the checks a sieved prime already meets: ``_cm_trace`` and
 ``_pointcount`` run no primality test, and ``_exe_weil`` builds the E x E
 Weil polynomial (T^2 - aT + p)^2 directly, keeping only the exact Hasse
 check.  The public ``ap_cm`` and ``ap_pointcount`` keep every check and
-call the same trace kernels; ``weil_from_trace`` keeps its own checks.
+call the same trace kernels; ``weil_from_trace`` keeps its own checks.  Both
+surveys build each good row through ``_exe_row`` and read their counts off
+the finished rows.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_le, mpf_log, round_nearest
 
-from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, FieldParams, least_nonsplit_bound
+from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, least_nonsplit_bound
 from .polycore import BudgetExceededError, IntPoly, InternalError, factorization, is_prime
 from .tate import stable_tate_dim, tate_dim
 from .weil import WeilPoly
@@ -388,12 +390,13 @@ def _exe_weil(a: int, p: int) -> WeilPoly:
     return WeilPoly(poly=IntPoly([p * p, -2 * a * p, a * a + 2 * p, -2 * a, 1]), q=p, p=p, d=2)
 
 
-def _exe_ranks(a: int, p: int) -> tuple[int, int, int]:
-    """Tate ranks in codimension 1 for E x E with trace a over F_p."""
+def _exe_row(p: int, chi: int | None, typ: str, a: int) -> SurveyRow:
+    """The survey row of a good prime p: E x E with trace a over F_p and its
+    Tate ranks in codimension 1 over F_p and over the algebraic closure."""
     w = _exe_weil(a, p)
     rank_base = tate_dim(w, 1, 1)
     rank_stable, stable_degree = stable_tate_dim(w, 1)
-    return rank_base, rank_stable, stable_degree
+    return SurveyRow(p, chi, a, typ, rank_base, rank_stable, stable_degree)
 
 
 def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
@@ -409,36 +412,21 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
     if p_max > SURVEY_BUDGET:
         raise BudgetExceededError(f"survey capped at p_max <= {SURVEY_BUDGET}")
     rows = []
-    n_split = n_inert = n_excluded = n_rank4 = n_rank6 = 0
     for p in primes_up_to(p_max):
         chi = kronecker_symbol(D, p)  # D is fundamental and p prime
         if p in (2, 3) or D % p == 0:
             rows.append(SurveyRow(p, chi, None, "bad-or-excluded", None, None, None))
-            n_excluded += 1
-            continue
-        typ, a = _cm_trace(D, p)
-        rank_base, rank_stable, stable_degree = _exe_ranks(a, p)
-        rows.append(SurveyRow(p, chi, a, typ, rank_base, rank_stable, stable_degree))
-        if chi == 1:
-            n_split += 1
         else:
-            n_inert += 1
-        if rank_stable == 4:
-            n_rank4 += 1
-        elif rank_stable == 6:
-            n_rank6 += 1
-    good = n_split + n_inert
-    counts = (
-        ("split", n_split),
-        ("inert", n_inert),
-        ("excluded", n_excluded),
-        ("rank_stable_4", n_rank4),
-        ("rank_stable_6", n_rank6),
+            rows.append(_exe_row(p, chi, *_cm_trace(D, p)))
+    good = [r for r in rows if r.a_p is not None]  # a_p is 0 at inert primes
+    split = sum(r.kronecker == 1 for r in good)
+    by_type = (("split", split), ("inert", len(good) - split))
+    counts = by_type + (
+        ("excluded", len(rows) - len(good)),
+        ("rank_stable_4", sum(r.rank_stable == 4 for r in good)),
+        ("rank_stable_6", sum(r.rank_stable == 6 for r in good)),
     )
-    fractions = (
-        ("split", n_split / good if good else 0.0),
-        ("inert", n_inert / good if good else 0.0),
-    )
+    fractions = tuple((name, n / len(good) if good else 0.0) for name, n in by_type)
     density = DensityReport(p_max=p_max, counts=counts, fractions=fractions, reference_fraction=0.5)
     return rows, density
 
@@ -459,26 +447,19 @@ def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
     if p_max > NONCM_BUDGET:
         raise BudgetExceededError(f"non-CM sweep capped at p_max <= {NONCM_BUDGET}")
     rows = []
-    exceptional = []
-    all4 = True
     for p in primes_up_to(p_max):
         a = _pointcount(E, p)
         if a is None:
             rows.append(SurveyRow(p, None, None, "bad", None, None, None))
-            continue
-        typ = "supersingular" if a % p == 0 else "ordinary"
-        rank_base, rank_stable, stable_degree = _exe_ranks(a, p)
-        rows.append(SurveyRow(p, None, a, typ, rank_base, rank_stable, stable_degree))
-        if rank_base != 4:
-            all4 = False
-        if rank_stable > 4:
-            exceptional.append(p)
+        else:
+            rows.append(_exe_row(p, None, "supersingular" if a % p == 0 else "ordinary", a))
+    good = [r for r in rows if r.a_p is not None]  # a_p may be 0
     return NonCmReport(
         curve=E,
         p_max=p_max,
         rows=tuple(rows),
-        all_rank_base_4=all4,
-        exceptional_primes=tuple(exceptional),
+        all_rank_base_4=all(r.rank_base == 4 for r in good),
+        exceptional_primes=tuple(r.p for r in good if r.rank_stable > 4),
     )
 
 
@@ -518,7 +499,7 @@ def _log_at(n: int):
 _log_at_prime = lru_cache(maxsize=128)(_log_at)  # found primes repeat; |D| does not
 
 
-def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitResult:
+def least_nonsplit_search(D: int, c=1) -> NonSplitResult:
     """Least unramified rational prime that does not split in Q(sqrt(D)),
     together with the theoretical norm bound (relative degree 2 over the
     rationals) and whether the found prime satisfies it.
@@ -534,7 +515,7 @@ def least_nonsplit_search(D: int, fp: FieldParams = RATIONALS, c=1) -> NonSplitR
             found = p
             break
     log_d_L = mp.make_mpf(_log_at(abs(D)))
-    report = least_nonsplit_bound(fp, log_d_L, n=2, c=c)
+    report = least_nonsplit_bound(RATIONALS, log_d_L, n=2, c=c)
     satisfied = mpf_le(_log_at_prime(found), report.log_value._mpf_)
     return NonSplitResult(D=D, found_prime=found, bound=report, satisfied=satisfied)
 

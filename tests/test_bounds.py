@@ -136,6 +136,13 @@ def test_hensel_galois_nonnegative():
         assert hensel_galois_log_disc(nl, nk, rng.random() * 5, ps) >= 0
 
 
+@pytest.mark.parametrize("log_d_K", [-7, -1e-300, "-0.5", mp.mpf("-1e-1000")])
+def test_hensel_galois_rejects_negative_log_disc(log_d_K):
+    with pytest.raises(ValueError, match=r"log \|d_K\| must be >= 0"):
+        hensel_galois_log_disc(2, 1, log_d_K, [2])
+    assert hensel_galois_log_disc(2, 1, 0, [2]) >= 0  # zero stays allowed
+
+
 # ---------------------------------------------------------------------------
 # least non-split prime bound
 
@@ -159,6 +166,13 @@ def test_least_nonsplit_bound_constant_branch():
 def test_least_nonsplit_bound_requires_degree_two():
     with pytest.raises(ValueError):
         least_nonsplit_bound(RATIONALS, 1.0, 1)
+
+
+@pytest.mark.parametrize("log_d_L", [-5, -1e-300, "-0.5", mp.mpf("-1e-1000")])
+def test_least_nonsplit_bound_rejects_negative_log_disc(log_d_L):
+    with pytest.raises(ValueError, match=r"log \|d_L\| must be >= 0"):
+        least_nonsplit_bound(RATIONALS, log_d_L, 2)
+    assert least_nonsplit_bound(RATIONALS, 0, 2).exact_value == 55  # zero stays allowed
 
 
 def test_least_nonsplit_bound_monotone_in_disc():

@@ -283,6 +283,21 @@ def test_bounds_C_rejects_nonpositive_c1(capsys, c1):
     assert "--c1 must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nonsplit", "--nk", "1", "--n", "2", "--log-dl", "-5"], "log |d_L| must be >= 0"),
+        (["hensel-galois", "--nl", "2", "--nk", "1", "--log-dk", "-7", "--primes", "2"], "log |d_K| must be >= 0"),
+        (["fk", "--nk", "2", "--log-dk", "-1", "--exceptional", "yes"], "log |d_K| must be >= 0"),
+    ],
+)
+def test_bounds_rejects_negative_log_disc(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bounds", *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_bounds_missing_parameter(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bounds", "B", "--N", "2", "--m", "1", "--d", "1"])  # no --nk

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from tatecycles import cmlab
 from tatecycles.cmlab import (
     CLASS_NUMBER_ONE_DISCS,
     BudgetExceededError,
@@ -279,6 +280,8 @@ def test_exe_survey_rows_examples():
     assert by_p[3].reduction_type == "bad-or-excluded"
     counts = dict(density.counts)
     assert counts["split"] + counts["inert"] + counts["excluded"] == len(rows)
+    # the inert primes have a_p = 0 and still count as good
+    assert counts == {"split": 11, "inert": 12, "excluded": 2, "rank_stable_4": 11, "rank_stable_6": 12}
     fr = dict(density.fractions)
     assert abs(fr["split"] + fr["inert"] - 1.0) < 1e-12
 
@@ -306,6 +309,24 @@ def test_exe_survey_deterministic():
     b = exe_survey(-4, 300)
     assert a == b
     assert [r.p for r in a[0]] == primes_up_to(300)
+
+
+def test_survey_probes_see_both_sweeps(monkeypatch):
+    # the benchmark's trace wraps these names on cmlab, so both sweeps must
+    # look them up there
+    callers = {name: set() for name in ("tate_dim", "stable_tate_dim", "primes_up_to")}
+    sweep = [None]
+    for name in callers:
+        def spy(*args, _name=name, _original=getattr(cmlab, name)):
+            callers[_name].add(sweep[0])
+            return _original(*args)
+
+        monkeypatch.setattr(cmlab, name, spy)
+    sweep[0] = "survey"
+    exe_survey(-4, 50)
+    sweep[0] = "noncm"
+    noncm_rank_check(CURVE_37A, 50)
+    assert callers == {name: {"survey", "noncm"} for name in callers}
 
 
 # ---------------------------------------------------------------------------
