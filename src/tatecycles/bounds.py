@@ -279,6 +279,8 @@ def hensel_galois_log_disc(
         raise ValueError(f"n_K = {n_K} does not divide n_L = {n_L}")
     if mp.mpf(log_d_K) < 0:
         raise ValueError("log |d_K| must be >= 0")
+    if n_K == 1 and mp.mpf(log_d_K) != 0:
+        raise ValueError("the rationals have |d_K| = 1, so log |d_K| must be 0")
     ps = _check_primes(ramified_primes_over_K)
     with mp.workprec(precision_bits):
         total = (n_L - n_K) * mp.fsum(mp.log(p) for p in ps)

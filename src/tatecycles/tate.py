@@ -23,9 +23,12 @@ for a prime l = 1 (mod m) and z of exact order m in F_l, z is a root of
 Phi_m modulo l, so R(z) = 0 (mod l).  An m that passes by chance costs one
 exact division that finds no factor.  The m are split, in ascending order,
 into batches whose lcm L is at most 2^40; each batch shares one prime
-l = 1 (mod L) above 2^61 and an element g of exact order L, with
-z_m = g^(L/m).  Q is reduced modulo the product of the primes of eight
-consecutive batches before it is reduced modulo each of them.
+l = 1 (mod L) above 2^40 and an element g of exact order L, with
+z_m = g^(L/m).  Soundness holds for any such l; its size only sets how
+rare a chance pass is (about one m in 2^40), and keeping l below 2^48
+keeps the table's pow calls and the Horner steps on short integers.
+Q is reduced modulo the product of the primes of eight consecutive batches
+before it is reduced modulo each of them.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ DISPLAY_N_CAP = 60
 # 10^5 degrees is already 19 MB of JSON
 N_REPORT_BUDGET = 10**5
 # largest dimension tate_profile reports on; at d = 6 the rows take about
-# 5.3 s and 23 MB (2 cores, Python 3.11.7): 4.4 s for the H^6 charpoly, 1.3 s
+# 2.3 s and 18 MB (2 cores, Python 3.11.7): 0.4 s for the H^6 charpoly, 1.2 s
 # for the k = 3 scan (a six-fold elliptic product over F_7)
 D_REPORT_BUDGET = 5
 
@@ -118,8 +121,10 @@ def _check_codim(d: int, k: int, n: int = 1) -> None:
         raise ValueError("extension degree must be >= 1")
 
 
-# a chance pass needs l | R(z_m), which a prime l above 2^61 makes rare
-_WITNESS_PRIME_FLOOR = 2**61
+# a chance pass needs l | R(z_m), about one m in 2^40 here, and costs one
+# exact division; with l below 2^48 the pow calls and Horner steps run on
+# two- and four-digit CPython ints
+_WITNESS_PRIME_FLOOR = 2**40
 _WITNESS_BATCH_LCM_MAX = 2**40
 # batches whose primes share one first reduction of Q; at d = 6, k = 3
 # (416 batches, 7,782-bit coefficients) groups of 8 and 16 reduce fastest,

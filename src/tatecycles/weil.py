@@ -169,33 +169,45 @@ def product_variety(a: WeilPoly, b: WeilPoly) -> WeilPoly:
 
 
 @lru_cache(maxsize=1024)
-def _subset_product_charpoly(coeffs: tuple[int, ...], r: int) -> IntPoly:
+def _subset_product_charpoly(coeffs: tuple[int, ...], r: int, q: int) -> IntPoly:
     # The alpha^j have power sums P_j, P_2j, ..., and Newton's recursion on
-    # the first r of them ends in a_r = (-1)^r e_r(alpha^j).
+    # the first r of them ends in a_r = (-1)^r e_r(alpha^j).  Only the sums
+    # for j <= N/2 are taken: the roots pair as beta <-> q^r / beta with
+    # product q^(rN/2), so a_(N-i) = (-1)^N q^(r(N-2i)/2) a_i gives the rest.
     degree = comb(len(coeffs) - 1, r)
-    P = power_sums(IntPoly(coeffs), r * degree)
+    half = degree // 2
+    P = power_sums(IntPoly(coeffs), r * half)
     sign = -1 if r % 2 else 1
-    S = [sign * _newton_coefficients(P[j - 1:r * j:j])[-1] for j in range(1, degree + 1)]
-    return from_power_sums(S)
+    S = [sign * _newton_coefficients(P[j - 1:r * j:j])[-1] for j in range(1, half + 1)]
+    a = [1] + _newton_coefficients(S)
+    mirror_sign = -1 if degree % 2 else 1
+    top = [mirror_sign * q ** (r * (degree - 2 * i) // 2) * a[i] for i in range(degree - half)]
+    return IntPoly(top + a[half::-1])
 
 
 def h_charpoly(w: WeilPoly, r: int) -> CohomPoly:
     """Characteristic polynomial of Frobenius on H^r.
 
     Its roots are exactly the products of r distinct-index H^1 eigenvalues;
-    degree binom(2d, r).  r = 0 gives T - 1.  Computed from power sums: the
-    j-th power sum of the roots is e_r(alpha_1^j, ..., alpha_2d^j), which
+    degree N = binom(2d, r).  r = 0 gives T - 1.  Computed from power sums:
+    the j-th power sum of the roots is e_r(alpha_1^j, ..., alpha_2d^j), which
     Newton-Girard takes from the power sums of f, and a second Newton pass
-    rebuilds the polynomial, with exact integer divisions only.  The
+    rebuilds the lower half of the coefficients, with exact integer
+    divisions only.  The upper half follows from the functional equation:
+    the roots pair as beta <-> q^r / beta with product q^(rN/2), because a
+    WeilPoly has f(0) = q^d and T^(2d) f(q/T) = q^d f(T), so the coefficient
+    a_(N-i) of T^i is (-1)^N q^(r(N-2i)/2) a_i.  The upper coefficients are
+    the large ones, so this saves most of the Newton work.  The
     characteristic polynomial of the r-th compound of the companion matrix
-    (``polycore.compound_matrix``) gives the same polynomial and serves as
-    the independent oracle in the tests.
+    (``polycore.compound_matrix``) and the full Newton recovery
+    (``h_charpoly_full`` in the tests' oracles) give the same polynomial and
+    serve as the independent checks.
     """
     if not 0 <= r <= 2 * w.d:
         raise ValueError(f"cohomology degree r = {r} out of range 0..{2 * w.d}")
     if r == 0:
         return CohomPoly(poly=IntPoly([-1, 1]), r=0, q=w.q)
-    return CohomPoly(poly=_subset_product_charpoly(w.poly.coeffs, r), r=r, q=w.q)
+    return CohomPoly(poly=_subset_product_charpoly(w.poly.coeffs, r, w.q), r=r, q=w.q)
 
 
 def base_change(w: WeilPoly, n: int) -> WeilPoly:

@@ -1,20 +1,30 @@
-"""Numeric oracles: floating-point routes the tests hold the exact library to.
+"""Oracles: independent routes the tests hold the exact library to.
 
 ``complex_roots`` finds the complex roots of an integer polynomial and
 ``tate_dim_numeric`` counts Tate classes by enumerating eigenvalue subsets.
 Neither shares code with the exact cyclotomic route they check, and the
 library itself never calls them, so importing it loads no mpmath.
+``h_charpoly_full`` recovers every coefficient of the H^r charpoly by
+Newton's identities, where the library recovers half and mirrors the rest
+through the functional equation.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 
 import mpmath
 from mpmath import mp
 
-from tatecycles.polycore import IntPoly, squarefree_decomposition
+from tatecycles.polycore import (
+    IntPoly,
+    _newton_coefficients,
+    from_power_sums,
+    power_sums,
+    squarefree_decomposition,
+)
 from tatecycles.tate import _check_codim
 from tatecycles.weil import WeilPoly
 
@@ -58,6 +68,18 @@ def _classify_distance(dist, threshold, band) -> bool:
             f"of the threshold {mp.nstr(threshold, 8)}"
         )
     return dist < threshold
+
+
+def h_charpoly_full(w: WeilPoly, r: int) -> IntPoly:
+    """Characteristic polynomial of Frobenius on H^r for 1 <= r <= 2d, with
+    all binom(2d, r) coefficients from Newton's identities: its j-th power
+    sum is e_r(alpha^j), read off Newton's recursion on p_j, ..., p_rj of w,
+    for every j up to the degree."""
+    degree = comb(2 * w.d, r)
+    P = power_sums(w.poly, r * degree)
+    sign = -1 if r % 2 else 1
+    S = [sign * _newton_coefficients(P[j - 1:r * j:j])[-1] for j in range(1, degree + 1)]
+    return from_power_sums(S)
 
 
 @lru_cache(maxsize=32)

@@ -133,7 +133,16 @@ def test_hensel_galois_nonnegative():
         nk = rng.randint(1, 4)
         nl = nk * rng.randint(1, 4)
         ps = set(rng.sample([2, 3, 5, 7], rng.randint(0, 3)))
-        assert hensel_galois_log_disc(nl, nk, rng.random() * 5, ps) >= 0
+        # the rationals (nk = 1) have log |d_K| = 0
+        log_dk = rng.random() * 5 if nk > 1 else 0
+        assert hensel_galois_log_disc(nl, nk, log_dk, ps) >= 0
+
+
+@pytest.mark.parametrize("log_d_K", [5, 1e-300, "0.5", mp.mpf("1e-1000")])
+def test_hensel_galois_rejects_nonzero_log_disc_over_rationals(log_d_K):
+    with pytest.raises(ValueError, match=r"the rationals have \|d_K\| = 1, so log \|d_K\| must be 0"):
+        hensel_galois_log_disc(2, 1, log_d_K, [2])
+    assert hensel_galois_log_disc(4, 2, log_d_K, [2]) >= 0  # allowed once n_K > 1
 
 
 @pytest.mark.parametrize("log_d_K", [-7, -1e-300, "-0.5", mp.mpf("-1e-1000")])

@@ -298,6 +298,15 @@ def test_bounds_rejects_negative_log_disc(capsys, argv, message):
     assert message in err
 
 
+def test_bounds_hensel_galois_rejects_log_disc_over_rationals(capsys):
+    code, out, err = run_cli(
+        capsys, "bounds", "hensel-galois", "--nl", "2", "--nk", "1", "--log-dk", "5", "--primes", "2", "--json"
+    )
+    assert code == 2
+    assert out == ""
+    assert "the rationals have |d_K| = 1, so log |d_K| must be 0" in err
+
+
 def test_bounds_missing_parameter(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["bounds", "B", "--N", "2", "--m", "1", "--d", "1"])  # no --nk

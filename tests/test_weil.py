@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from conftest import instance_suite, random_weil
-from oracles import complex_roots
+from oracles import complex_roots, h_charpoly_full
 from tatecycles.polycore import IntPoly, charpoly, companion, compound_matrix, factorization
 from tatecycles.weil import (
     WeilValidationError,
@@ -262,12 +262,29 @@ def test_h_charpoly_complement_pairing():
 
 
 def test_h_charpoly_self_pairing():
-    # root multiset of H^r is invariant under a -> q^r / a
+    # root multiset of H^r is invariant under a -> q^r / a; h_charpoly builds
+    # its upper half from this pairing, so the full-recovery and compound
+    # oracles below are the independent checks
     for w in instance_suite(15, seed=14):
         for r in range(1, 2 * w.d + 1):
             Qr = h_charpoly(w, r).poly
             S = _reversed_scaled(Qr, w.q**r)
             assert S == Qr * S.leading
+
+
+def test_h_charpoly_matches_full_recovery_oracle():
+    # the library runs Newton over half the power sums and mirrors the rest;
+    # the oracle recovers every coefficient
+    suite = instance_suite(40, d_max=5, seed=16)
+    odd = set()
+    for w in suite:
+        for r in range(1, 2 * w.d + 1):
+            assert h_charpoly(w, r).poly == h_charpoly_full(w, r), (w, r)
+            if comb(2 * w.d, r) % 2:
+                odd.add(comb(2 * w.d, r))
+    assert {w.d for w in suite} == {1, 2, 3, 4, 5}
+    # odd degrees run the (-1)^N branch of the mirror, C(6, 2) = 15 among them
+    assert 15 in odd
 
 
 def test_h_charpoly_degree_and_weight():
