@@ -189,11 +189,6 @@ def _floor_slack(prec: int):
         return mp.mpf("1e-20")
 
 
-def _exact_value(log_value) -> int | None:
-    """exact_value of an mpf log_value at the working precision mp.prec."""
-    return _exact_value_at(log_value._mpf_, mp.prec)
-
-
 def _exact_value_at(L, prec: int) -> int | None:
     """exact_value of the raw mpf L, rounded as at ``prec`` bits."""
     ln2, cap = _log2_and_cap(prec)
@@ -277,10 +272,7 @@ def hensel_galois_log_disc(
         raise ValueError("degrees must be >= 1")
     if n_L % n_K:
         raise ValueError(f"n_K = {n_K} does not divide n_L = {n_L}")
-    if mp.mpf(log_d_K) < 0:
-        raise ValueError("log |d_K| must be >= 0")
-    if n_K == 1 and mp.mpf(log_d_K) != 0:
-        raise ValueError("the rationals have |d_K| = 1, so log |d_K| must be 0")
+    FieldParams(n_K, log_d_K)  # raises on a negative log |d_K|, or a nonzero one at n_K = 1
     ps = _check_primes(ramified_primes_over_K)
     with mp.workprec(precision_bits):
         total = (n_L - n_K) * mp.fsum(mp.log(p) for p in ps)
@@ -403,7 +395,7 @@ def bound_B(
             name="bound_B",
             inputs=tuple(inputs),
             log_value=log_value,
-            exact_value=_exact_value(log_value),
+            exact_value=_exact_value_at(log_value._mpf_, precision_bits),
         )
 
 
@@ -455,5 +447,5 @@ def bound_C(
             name="bound_C",
             inputs=tuple(inputs),
             log_value=log_value,
-            exact_value=_exact_value(log_value),
+            exact_value=_exact_value_at(log_value._mpf_, precision_bits),
         )

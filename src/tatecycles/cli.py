@@ -61,14 +61,6 @@ def _emit(report: dict, as_json: bool, human) -> None:
 # ---------------------------------------------------------------------------
 # tate
 
-def _weil_record(w: weil.WeilPoly) -> dict:
-    return {"coeffs": [str(c) for c in w.poly.coeffs], "q": w.q, "d": w.d}
-
-
-def _cohom_record(cp: weil.CohomPoly) -> dict:
-    return {"coeffs": [str(c) for c in cp.poly.coeffs], "q": cp.q, "r": cp.r}
-
-
 def cmd_tate(args) -> dict:
     if args.verify:
         return _verify_tate(args.verify)
@@ -76,13 +68,12 @@ def cmd_tate(args) -> dict:
         raise PolyFormatError("--poly and --q are required (or use --verify FILE)")
     f = parse_poly(args.poly)
     w = weil.validate_weil(f, args.q)
-    profile = tate.tate_profile(w, n_report=args.n_max)
     inputs = {
         "poly": format_poly(f),
         "q": args.q,
         "n_max": args.n_max,
         "paper_convention": bool(args.paper_convention),
-        "weil": _weil_record(w),
+        "weil": {"coeffs": [str(c) for c in w.poly.coeffs], "q": w.q, "d": w.d},
     }
     if args.paper_convention:
         inputs["reciprocal_coeffs"] = [str(c) for c in weil.reciprocal_form(w.poly).coeffs]
@@ -92,10 +83,10 @@ def cmd_tate(args) -> dict:
             "degree_bound": row.degree_bound,
             "stable_dim": row.stable_dim,
             "min_stable_degree": row.min_stable_degree,
-            "h2k": _cohom_record(weil.h_charpoly(w, 2 * row.k)),
+            "h2k": {"coeffs": [str(c) for c in weil.h_charpoly(w, 2 * row.k).coeffs], "q": w.q, "r": 2 * row.k},
             "dims": [{"n": n, "dim": dim} for n, dim in row.dims],
         }
-        for row in profile.rows
+        for row in tate.tate_profile(w, n_report=args.n_max)
     ]
     return _report("tate", inputs, rows)
 
@@ -134,9 +125,11 @@ def _verify_tate(path: str) -> dict:
         and isinstance(inputs.get("poly"), str)
         and _is_int(inputs.get("q"))
         and (inputs.get("n_max") is None or _is_int(inputs["n_max"]))
+        and isinstance(inputs.get("paper_convention", False), bool)
     ):
         raise PolyFormatError(
-            f"{path}: inputs must hold poly (a string), q (an integer) and n_max (an integer or null)"
+            f"{path}: inputs must hold poly (a string), q (an integer), n_max (an integer or null)"
+            " and, if present, paper_convention (true or false)"
         )
     ns = argparse.Namespace(
         poly=inputs["poly"],
@@ -146,7 +139,8 @@ def _verify_tate(path: str) -> dict:
         verify=None,
     )
     recomputed = cmd_tate(ns)
-    if recomputed != loaded:
+    # compared as JSON text, where true, 1 and 1.0 differ (in Python they are equal)
+    if json.dumps(recomputed, sort_keys=True) != json.dumps(loaded, sort_keys=True):
         raise VerifyMismatchError(f"recomputed report does not match {path}")
     return recomputed
 
@@ -341,7 +335,6 @@ def cmd_cm(args) -> dict:
         res = cmlab.pi_K_count(args.disc, args.x)
         inputs = {"disc": args.disc, "x": args.x}
         return _report("cm pik", inputs, [res.to_record()])
-    raise ValueError(f"unknown cm subcommand {args.subcommand}")  # pragma: no cover
 
 
 def _human_cm(report: dict) -> None:

@@ -369,14 +369,13 @@ class DensityReport:
     p_max: int
     counts: tuple[tuple[str, int], ...]
     fractions: tuple[tuple[str, float], ...]
-    reference_fraction: float
 
     def to_record(self) -> dict:
         return {
             "p_max": self.p_max,
             "counts": dict(self.counts),
             "fractions": {k: repr(v) for k, v in self.fractions},
-            "reference_fraction": repr(self.reference_fraction),
+            "reference_fraction": "0.5",  # split and inert primes each have density 1/2
         }
 
 
@@ -427,14 +426,11 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
         ("rank_stable_6", sum(r.rank_stable == 6 for r in good)),
     )
     fractions = tuple((name, n / len(good) if good else 0.0) for name, n in by_type)
-    density = DensityReport(p_max=p_max, counts=counts, fractions=fractions, reference_fraction=0.5)
-    return rows, density
+    return rows, DensityReport(p_max=p_max, counts=counts, fractions=fractions)
 
 
 @dataclass(frozen=True)
 class NonCmReport:
-    curve: EllipticCurve
-    p_max: int
     rows: tuple[SurveyRow, ...]
     all_rank_base_4: bool
     exceptional_primes: tuple[int, ...]  # good primes with stable rank > 4
@@ -455,8 +451,6 @@ def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
             rows.append(_exe_row(p, None, "supersingular" if a % p == 0 else "ordinary", a))
     good = [r for r in rows if r.a_p is not None]  # a_p may be 0
     return NonCmReport(
-        curve=E,
-        p_max=p_max,
         rows=tuple(rows),
         all_rank_base_4=all(r.rank_base == 4 for r in good),
         exceptional_primes=tuple(r.p for r in good if r.rank_stable > 4),

@@ -16,6 +16,8 @@ phi(m) * e roots.  Hence
 
 and only m with phi(m) <= deg R = binom(2d, 2k) can occur, which bounds the
 extension degree needed to see every Tate class independently of q.
+``tate_profile`` returns these dimensions as a plain tuple of ``TateRow``s,
+one for each k = 0..d; q and d are read off w itself.
 
 The scan divides R by Phi_m only for the m that pass a modular pre-test,
 and the pre-test never drops a true factor: if Phi_m divides R over Z, then
@@ -50,7 +52,6 @@ from .weil import WeilPoly, h_charpoly
 
 __all__ = [
     "TateRow",
-    "TateProfile",
     "tate_dim",
     "stable_tate_dim",
     "tate_profile",
@@ -200,7 +201,7 @@ def _unity_ratio_multiplicities(w: WeilPoly, k: int) -> tuple[tuple[int, int], .
     """Pairs (m, e) with e > 0 the multiplicity of the m-th cyclotomic
     polynomial in R(T) = Q(q^k T), Q the H^{2k} characteristic polynomial;
     complete because any Phi_m dividing R has phi(m) <= deg R."""
-    return _cyclotomic_scan(h_charpoly(w, 2 * k).poly, w.q**k)
+    return _cyclotomic_scan(h_charpoly(w, 2 * k), w.q**k)
 
 
 def _stable(mults: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -245,15 +246,9 @@ class TateRow:
     degree_bound: int
 
 
-@dataclass(frozen=True)
-class TateProfile:
-    q: int
-    d: int
-    rows: tuple[TateRow, ...]
-
-
-def tate_profile(w: WeilPoly, n_report: int | None = None) -> TateProfile:
-    """Full per-codimension table of Tate-class dimensions.
+def tate_profile(w: WeilPoly, n_report: int | None = None) -> tuple[TateRow, ...]:
+    """Full per-codimension table of Tate-class dimensions: one TateRow for
+    each k = 0..d, in order (w itself carries q and d).
 
     ``n_report`` controls how many extension degrees are tabulated per row;
     by default each row runs to its degree bound, capped at 60 for display.
@@ -283,4 +278,4 @@ def tate_profile(w: WeilPoly, n_report: int | None = None) -> TateProfile:
         rows.append(
             TateRow(k=k, dims=dims, stable_dim=stable, min_stable_degree=min_deg, degree_bound=bound)
         )
-    return TateProfile(q=w.q, d=w.d, rows=tuple(rows))
+    return tuple(rows)

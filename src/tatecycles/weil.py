@@ -12,10 +12,10 @@ and every root of f has modulus sqrt(q) exactly when every root of h is real
 and in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya 2008), which a Sturm count decides in
 integers; nothing here uses floating point.
 
-The characteristic polynomials on H^r and the base changes to extensions are
-computed in integer arithmetic from power sums by Newton's identities; this
-module calls no matrix code.  The compound-matrix route in ``polycore`` is
-kept as the independent oracle that the tests check these against.
+The characteristic polynomials on H^r, plain ``IntPoly``s, and the base
+changes to extensions are computed in integer arithmetic from power sums by
+Newton's identities; this module calls no matrix code.  The compound-matrix
+route in ``polycore`` is the independent oracle the tests check them against.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .polycore import charpoly, compound_matrix, squarefree_decomposition  # noq
 
 __all__ = [
     "WeilPoly",
-    "CohomPoly",
     "WeilValidationError",
     "validate_weil",
     "weil_from_trace",
@@ -75,22 +74,6 @@ class WeilPoly:
 
     def __repr__(self) -> str:
         return f"WeilPoly({self.poly.pretty()}, q={self.q}, d={self.d})"
-
-
-@dataclass(frozen=True)
-class CohomPoly:
-    """Characteristic polynomial of Frobenius on H^r; roots have modulus q^(r/2)."""
-
-    poly: IntPoly
-    r: int
-    q: int
-
-    @property
-    def weight(self) -> int:
-        return self.r
-
-    def __repr__(self) -> str:
-        return f"CohomPoly({self.poly.pretty()}, r={self.r}, q={self.q})"
 
 
 def _characteristic(q: int) -> int:
@@ -185,29 +168,32 @@ def _subset_product_charpoly(coeffs: tuple[int, ...], r: int, q: int) -> IntPoly
     return IntPoly(top + a[half::-1])
 
 
-def h_charpoly(w: WeilPoly, r: int) -> CohomPoly:
-    """Characteristic polynomial of Frobenius on H^r.
+def h_charpoly(w: WeilPoly, r: int) -> IntPoly:
+    """Characteristic polynomial of Frobenius on H^r, as an IntPoly.
 
-    Its roots are exactly the products of r distinct-index H^1 eigenvalues;
-    degree N = binom(2d, r).  r = 0 gives T - 1.  Computed from power sums:
-    the j-th power sum of the roots is e_r(alpha_1^j, ..., alpha_2d^j), which
-    Newton-Girard takes from the power sums of f, and a second Newton pass
-    rebuilds the lower half of the coefficients, with exact integer
-    divisions only.  The upper half follows from the functional equation:
-    the roots pair as beta <-> q^r / beta with product q^(rN/2), because a
-    WeilPoly has f(0) = q^d and T^(2d) f(q/T) = q^d f(T), so the coefficient
-    a_(N-i) of T^i is (-1)^N q^(r(N-2i)/2) a_i.  The upper coefficients are
-    the large ones, so this saves most of the Newton work.  The
-    characteristic polynomial of the r-th compound of the companion matrix
-    (``polycore.compound_matrix``) and the full Newton recovery
-    (``h_charpoly_full`` in the tests' oracles) give the same polynomial and
-    serve as the independent checks.
+    Its roots are exactly the products of r distinct-index H^1 eigenvalues,
+    each of modulus q^(r/2); degree N = binom(2d, r).  r = 0 gives T - 1.
+    Computed from power sums: the j-th power sum of the roots is
+    e_r(alpha_1^j, ..., alpha_2d^j), which Newton-Girard takes from the power
+    sums of f, and a second Newton pass rebuilds the lower half of the
+    coefficients, with exact integer divisions only.  The upper half follows
+    from the functional equation: the roots pair as beta <-> q^r / beta with
+    product q^(rN/2), because a WeilPoly has f(0) = q^d and
+    T^(2d) f(q/T) = q^d f(T), so the coefficient a_(N-i) of T^i is
+    (-1)^N q^(r(N-2i)/2) a_i.  The upper coefficients are the large ones, so
+    this saves most of the Newton work.  The characteristic polynomial of the
+    r-th compound of the companion matrix (``polycore.compound_matrix``) and
+    the full Newton recovery (``h_charpoly_full`` in the tests' oracles) give
+    the same polynomial and serve as the independent checks.
+
+    >>> h_charpoly(weil_from_trace(0, 5), 2)
+    IntPoly('T - 5')
     """
     if not 0 <= r <= 2 * w.d:
         raise ValueError(f"cohomology degree r = {r} out of range 0..{2 * w.d}")
     if r == 0:
-        return CohomPoly(poly=IntPoly([-1, 1]), r=0, q=w.q)
-    return CohomPoly(poly=_subset_product_charpoly(w.poly.coeffs, r, w.q), r=r, q=w.q)
+        return IntPoly([-1, 1])
+    return _subset_product_charpoly(w.poly.coeffs, r, w.q)
 
 
 def base_change(w: WeilPoly, n: int) -> WeilPoly:

@@ -23,7 +23,7 @@ from tatecycles.bounds import (
     bound_C,
     parse_real,
 )
-from tatecycles.bounds import _exact_value
+from tatecycles.bounds import _exact_value_at
 from tatecycles.polycore import BudgetExceededError
 
 
@@ -383,7 +383,7 @@ def _log_at(x, work: int, prec: int):
 def _same_exact_value(L, prec: int) -> int | None:
     with mp.workprec(prec):
         want = _exact_value_reference(L)
-        assert _exact_value(L) == want, (mp.nstr(L, 40), prec)
+        assert _exact_value_at(L._mpf_, prec) == want, (mp.nstr(L, 40), prec)
     return want
 
 

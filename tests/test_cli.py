@@ -145,6 +145,30 @@ def test_tate_verify_rejects_malformed_inputs(capsys, tmp_path, report):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "where, value, code",
+    [
+        (("rows", 0, "stable_dim"), True, 4),  # true for the integer 1
+        (("rows", 1, "dims", 0, "dim"), 4.0, 4),  # 4.0 for the integer 4
+        (("inputs", "paper_convention"), 0, 2),
+        (("inputs", "paper_convention"), "yes", 2),
+    ],
+)
+def test_tate_verify_checks_json_types(capsys, tmp_path, where, value, code):
+    # in Python true == 1 == 1.0, so a retyped entry must be caught some other way
+    _, out, _ = run_cli(capsys, "tate", "--poly", "25,0,10,0,1", "--q", "5", "--json")
+    report = json.loads(out)
+    node = report
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = value
+    path = tmp_path / "retyped.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    got, _, err = run_cli(capsys, "tate", "--verify", str(path))
+    assert got == code, err
+    assert "Traceback" not in err
+
+
 def test_tate_d4_report_pinned(capsys):
     # quartic x elliptic x elliptic over F_7 (H^4 has degree 70); the digest
     # was taken from the compound-matrix route, so any change to the H^{2k}

@@ -1,7 +1,8 @@
 """Which module may load what: mpmath stays out of the exact tate path, and the
-names the benchmark's tracer wraps stay bound."""
+names the benchmark's tracer wraps and the modules export stay bound."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import pathlib
@@ -63,3 +64,14 @@ def test_bench_tracer_names_resolve():
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
     for name, fn in tracer.CACHES:
         assert callable(getattr(fn, "cache_info", None)), name
+
+
+def test_every_exported_name_resolves():
+    # a class dropped from a module must leave its __all__ too
+    exporters = set()
+    for path in sorted((SRC / "tatecycles").glob("[!_]*.py")):
+        module = importlib.import_module(f"tatecycles.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (path.stem, name)
+            exporters.add(path.stem)
+    assert {"weil", "tate", "cmlab", "bounds"} <= exporters

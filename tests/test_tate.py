@@ -174,7 +174,7 @@ def test_witness_table_bound_252():
 
 
 def _unfiltered_scan(w, k):
-    R = h_charpoly(w, 2 * k).poly.scale_variable(w.q**k)
+    R = h_charpoly(w, 2 * k).scale_variable(w.q**k)
     mults = ((m, cyclotomic_multiplicity(R, m)) for m in totient_bounded_set(R.degree))
     return tuple((m, e) for m, e in mults if e)
 
@@ -200,7 +200,7 @@ def test_scan_finds_factors_in_different_batches():
 
 def test_tate_profile_supersingular_exe():
     profile = tate_profile(_supersingular_exe(), n_report=4)
-    row0, row1, row2 = profile.rows
+    row0, row1, row2 = profile
     assert row0.k == 0 and row0.stable_dim == 1
     assert all(dim == 1 for _, dim in row0.dims)
     assert row1.dims[:2] == ((1, 4), (2, 6))
@@ -212,7 +212,7 @@ def test_tate_profile_supersingular_exe():
 def test_tate_profile_dims_monotone_under_divisibility():
     for w in instance_suite(10, seed=23):
         profile = tate_profile(w, n_report=12)
-        for row in profile.rows:
+        for row in profile:
             dims = dict(row.dims)
             for n in dims:
                 for m in dims:
@@ -239,9 +239,8 @@ def test_tate_profile_rows_match_per_degree_calls():
         n_reports = [None, 1, 5000] + ([bound + 3] if bound + 3 <= N_REPORT_BUDGET else [])
         for n_report in n_reports:
             profile = tate_profile(w, n_report=n_report)
-            assert (profile.q, profile.d) == (w.q, w.d)
-            assert [row.k for row in profile.rows] == list(range(w.d + 1))
-            for row in profile.rows:
+            assert [row.k for row in profile] == list(range(w.d + 1))
+            for row in profile:
                 n_max = n_report or min(row.degree_bound, DISPLAY_N_CAP)
                 assert row.dims == tuple((n, tate_dim(w, row.k, n)) for n in range(1, n_max + 1))
                 assert (row.stable_dim, row.min_stable_degree) == stable_tate_dim(w, row.k)
@@ -250,8 +249,8 @@ def test_tate_profile_rows_match_per_degree_calls():
 
 def test_tate_profile_default_cap():
     profile = tate_profile(_supersingular_exe())
-    assert len(profile.rows[1].dims) == 60  # degree bound 2520 capped for display
-    assert len(profile.rows[0].dims) == 2   # degree bound 2 not capped
+    assert len(profile[1].dims) == 60  # degree bound 2520 capped for display
+    assert len(profile[0].dims) == 2   # degree bound 2 not capped
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def test_stable_dim_counts_phi_weighted_roots_of_unity():
 
 def test_tate_profile_report_budget():
     e = weil_from_trace(0, 5)
-    rows = tate_profile(e, n_report=N_REPORT_BUDGET).rows
+    rows = tate_profile(e, n_report=N_REPORT_BUDGET)
     assert [len(row.dims) for row in rows] == [N_REPORT_BUDGET, N_REPORT_BUDGET]
     with pytest.raises(BudgetExceededError):
         tate_profile(e, n_report=N_REPORT_BUDGET + 1)
