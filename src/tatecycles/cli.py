@@ -298,6 +298,8 @@ def _parse_int_list(text: str) -> list[int]:
 def cmd_cm(args) -> dict:
     from . import bounds, cmlab
 
+    if getattr(args, "pmax", 0) < 0:
+        raise ValueError(f"--pmax must be nonnegative, got {args.pmax}")
     if args.subcommand == "survey":
         records, density = cmlab.exe_survey(args.disc, args.pmax)
         for i, row in enumerate(records):

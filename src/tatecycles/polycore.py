@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "IntPoly",
@@ -31,6 +31,7 @@ __all__ = [
     "factorization",
     "is_prime",
     "euler_phi",
+    "carmichael_lambda",
     "divisors",
     "power_sums",
     "from_power_sums",
@@ -325,6 +326,18 @@ def euler_phi(n: int) -> int:
     for p, e in _factorization(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
+
+
+def carmichael_lambda(n: int) -> int:
+    """Exponent of (Z/n)^*: lcm of phi(p^e) over p^e || n, halved for 2^e, e > 2.
+
+    >>> [carmichael_lambda(n) for n in (1, 2, 4, 8, 9, 16, 15)]
+    [1, 1, 2, 2, 6, 4, 4]
+    """
+    out = 1
+    for p, e in _factorization(n):
+        out = lcm(out, (p - 1) * p ** (e - 1) >> (p == 2 and e >= 3))
+    return out
 
 
 def divisors(n: int) -> list[int]:

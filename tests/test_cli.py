@@ -421,6 +421,20 @@ def test_cm_pik_rejects_negative_x(capsys):
     assert "--x must be nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--disc", "-4", "--pmax", "-1", "--json"],
+        ["noncm", "--curve", "0,0,1,-1,0", "--pmax", "-5"],
+    ],
+)
+def test_cm_rejects_negative_pmax(capsys, argv):
+    code, out, err = run_cli(capsys, "cm", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--pmax must be nonnegative" in err
+
+
 def test_cm_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "cm", "pik", "--disc", "-4", "--x", str(10**9))
     assert code == 3

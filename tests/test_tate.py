@@ -7,14 +7,15 @@ from math import comb, gcd, lcm
 import pytest
 from mpmath import mp
 
-from conftest import instance_suite, random_weil
-from oracles import PrecisionInsufficientError, _classify_distance, tate_dim_numeric
+from conftest import cyclotomic_suite, instance_suite, random_weil
+from oracles import PrecisionInsufficientError, _classify_distance, tate_dim_numeric, unfiltered_scan
 from tatecycles import polycore
 from tatecycles.polycore import (
+    _SPRP_EXACT_BELOW,
     BudgetExceededError,
     IntPoly,
+    carmichael_lambda,
     cyclotomic,
-    cyclotomic_multiplicity,
     euler_phi,
     factorization,
 )
@@ -31,7 +32,7 @@ from tatecycles.tate import (
     tate_profile,
     totient_bounded_set,
 )
-from tatecycles.weil import base_change, h_charpoly, product_variety, validate_weil, weil_from_trace
+from tatecycles.weil import base_change, product_variety, validate_weil, weil_from_trace
 
 
 def _supersingular_exe(q=5):
@@ -155,44 +156,73 @@ def _pocklington_prime(n, F):
     return True
 
 
-def test_witness_table_bound_252():
-    table = _witness_table(252)
-    assert [m for _, witnesses in table for m, _ in witnesses] == list(totient_bounded_set(252))
+def _allowed_orders(bound, d):
+    exponent = 2 * lcm(*range(1, d + 1))
+    return [m for m in totient_bounded_set(bound) if exponent % carmichael_lambda(m) == 0]
+
+
+def _check_witnesses(l, witnesses):
+    for m, z in witnesses:
+        assert pow(z, m, l) == 1
+        assert all(pow(z, m // r, l) != 1 for r, _ in factorization(m))
+
+
+def test_witness_table_one_prime_per_row_to_d6():
+    for d in range(1, 7):
+        for k in range(d + 1):
+            bound = comb(2 * d, 2 * k)
+            ((l, witnesses),) = _witness_table(bound, d)
+            assert [m for m, _ in witnesses] == _allowed_orders(bound, d)
+            L = lcm(*(m for m, _ in witnesses))
+            assert L <= 2**40 < l < 2**48 and (l - 1) % L == 0
+            # F = l - 1: _pocklington_prime factors it by polycore.factorization,
+            # which either factors exactly or raises
+            assert _pocklington_prime(l, l - 1)
+            _check_witnesses(l, witnesses)
+
+
+def test_witness_table_d7_batches_stay_below_psi_13():
+    table = _witness_table(91, 7)
+    assert len(table) > 1
+    assert [m for _, witnesses in table for m, _ in witnesses] == _allowed_orders(91, 7)
     for l, witnesses in table:
         L = lcm(*(m for m, _ in witnesses))
-        assert L <= 2**40 and 2**40 < l < 2**60 and (l - 1) % L == 0
-        # the part of l - 1 made of primes below 10^4 is a factored F > sqrt(l)
-        F, cofactor = L, (l - 1) // L
-        for p in range(2, 10**4):
-            while cofactor % p == 0:
-                cofactor //= p
-                F *= p
-        assert _pocklington_prime(l, F)
-        for m, z in witnesses:
-            assert pow(z, m, l) == 1
-            assert all(pow(z, m // r, l) != 1 for r, _ in factorization(m))
-
-
-def _unfiltered_scan(w, k):
-    R = h_charpoly(w, 2 * k).scale_variable(w.q**k)
-    mults = ((m, cyclotomic_multiplicity(R, m)) for m in totient_bounded_set(R.degree))
-    return tuple((m, e) for m, e in mults if e)
+        assert L <= 2**40 < l < _SPRP_EXACT_BELOW and (l - 1) % L == 0
+        _check_witnesses(l, witnesses)
+    # _is_prime_mr raises at psi_13 and above, so building every d = 7 row
+    # shows that no candidate l reaches it
+    for k in range(8):
+        assert max(l for l, _ in _witness_table(comb(14, 2 * k), 7)) < 2**48
 
 
 def test_scan_matches_unfiltered_division():
-    for w in instance_suite(120, d_max=4, seed=24):
+    for w in instance_suite(120, d_max=5, seed=24):
         for k in range(w.d + 1):
-            assert _unity_ratio_multiplicities(w, k) == _unfiltered_scan(w, k), (w, k)
+            assert _unity_ratio_multiplicities(w, k) == unfiltered_scan(w, k), (w, k)
 
 
-def test_scan_finds_factors_in_different_batches():
-    # degree 70, so the witness table of bound 70 is the one used
-    batch_of = {m: i for i, (_, witnesses) in enumerate(_witness_table(70)) for m, _ in witnesses}
-    for m, m2 in ((7, 30), (12, 31), (2, 156), (36, 120), (45, 3), (1, 240)):
-        assert batch_of[m] != batch_of[m2]
+def test_scan_matches_unfiltered_division_on_cyclotomic_family():
+    orders = set()
+    for w in cyclotomic_suite(d_max=5):
+        for k in range(w.d + 1):
+            mults = _unity_ratio_multiplicities(w, k)
+            assert mults == unfiltered_scan(w, k), (w, k)
+            orders.update(m for m, _ in mults)
+    assert max(orders) >= 90 and len(orders) > 30
+
+
+def test_scan_finds_smallest_and_largest_allowed_orders():
+    # degree 70 at d = 4: the row k = 2, whose allowed orders run 1..240
+    allowed = _allowed_orders(70, 4)
+    assert (allowed[0], allowed[-1], len(allowed)) == (1, 240, 56)
+    for m, m2 in ((1, 240), (2, 240), (3, 210), (7, 168), (13, 35), (1, 2)):
         f = cyclotomic(m) ** 2 * cyclotomic(m2)
         f = f * IntPoly([-2, 1]) ** (70 - f.degree)
-        assert _cyclotomic_scan(f, 1) == tuple(sorted([(m, 2), (m2, 1)]))
+        expected = tuple(sorted([(m, 2), (m2, 1)]))
+        assert _cyclotomic_scan(f, 1, 4) == expected
+        # Q(T) = 9^70 f(T / 9), so that R(T) = Q(9T) = 9^70 f(T)
+        Q = IntPoly([c * 9 ** (70 - i) for i, c in enumerate(f.coeffs)])
+        assert _cyclotomic_scan(Q, 9, 4) == expected
 
 
 # ---------------------------------------------------------------------------
