@@ -426,6 +426,8 @@ def bound_C(
         ldf = mp.mpf(log_d_F)
         if ldf <= 0:
             raise ValueError("log |d_F| must be positive")
+        if mp.mpf(c) <= 0:
+            raise ValueError("c must be positive")
         if mp.mpf(c1) <= 0:
             raise ValueError("c1 must be positive")
         n_prime = mp.mpf(2 ** (4 * d)) * factorial(2 * d + 1) * mp.mpf(N) * ldf

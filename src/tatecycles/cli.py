@@ -214,15 +214,16 @@ def _bounds_B(bounds, args) -> dict:
 
 def _bounds_C(bounds, args) -> dict:
     fp = _field_params(bounds, args)
-    c1 = _real(bounds, args, "c1")
-    if c1 <= 0:
-        raise ValueError(f"--c1 must be positive, got {args.c1!r}")
+    c, c1 = _real(bounds, args, "c"), _real(bounds, args, "c1")
+    for flag, value in (("c", c), ("c1", c1)):
+        if value <= 0:
+            raise ValueError(f"--{flag} must be positive, got {getattr(args, flag)!r}")
     return bounds.bound_C(
         _real(bounds, args, "N"),
         args.d,
         _real(bounds, args, "log_df"),
         fp,
-        _real(bounds, args, "c"),
+        c,
         c1,
         precision_bits=args.precision,
     ).to_record()

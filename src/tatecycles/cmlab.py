@@ -8,8 +8,9 @@ quadratic fields.
 Frobenius traces for the nine class-number-one CM discriminants come from
 the Cornacchia representation 4p = x^2 + |D| y^2; only |a_p| is used, since
 all of the degree-2 eigenvalue products feeding the E x E ranks are
-invariant under negating both H^1 roots.  Naive point counting over F_p
-provides the independent trace oracle.
+invariant under negating both H^1 roots.  Traces of other curves count
+E(F_p): for p >= 5 by baby-step giant-step on point orders, certified by
+the Hasse bound, and otherwise by a character sum.
 
 The survey loops take their primes from a sieve, so they call internal steps
 that skip the checks a sieved prime already meets: ``_cm_trace`` and
@@ -27,7 +28,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import mpmath
 from mpmath import mp
@@ -65,6 +66,7 @@ __all__ = [
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 POINTCOUNT_BUDGET = 10**6
+BSGS_MAX_POINTS = 6  # points a certified count tries before the character sum
 SURVEY_BUDGET = 10**7
 NONCM_BUDGET = 10**4
 PIK_BUDGET = 10**8
@@ -266,11 +268,15 @@ class EllipticCurve:
 
 
 def ap_pointcount(E: EllipticCurve, p: int) -> int | None:
-    """Frobenius trace a_p = p + 1 - #E(F_p) by direct enumeration, or None at
-    a prime of bad reduction.
+    """Frobenius trace a_p = p + 1 - #E(F_p), or None at a prime of bad
+    reduction.
 
-    For odd p the count uses the completed-square form and a table of
-    Legendre symbols; p = 2 enumerates the four affine points directly.
+    For p >= 5, #E(F_p) is certified from point orders by baby-step
+    giant-step and the Hasse bound (``_bsgs_trace``).  A character sum over a
+    table of Legendre symbols (``_charsum_trace``) answers p = 3 and the
+    primes where the points tried leave more than one candidate; p = 2
+    enumerates the four affine points.  The tests hold it to Euler's
+    criterion on the long model (``ap_charsum`` in the tests' oracles).
     """
     if p > POINTCOUNT_BUDGET:
         raise BudgetExceededError(f"point counting capped at p <= {POINTCOUNT_BUDGET}")
@@ -292,12 +298,124 @@ def _pointcount(E: EllipticCurve, p: int) -> int | None:
                 if (lhs - rhs) % 2 == 0:
                     affine += 1
         return 2 + 1 - (affine + 1)
+    if p > 3:
+        a = _bsgs_trace(E, p)
+        if a is not None:
+            return a
+    return _charsum_trace(E, p)
+
+
+def _charsum_trace(E: EllipticCurve, p: int) -> int:
+    """a_p at an odd prime of good reduction: minus the sum of the Legendre
+    symbols of 4x^3 + b2 x^2 + 2 b4 x + b6 over F_p, read from a table."""
     b2, b4, b6, _ = E.b_invariants()
     legendre = [-1] * p
     legendre[0] = 0
     for t in range(1, (p + 1) // 2):
         legendre[t * t % p] = 1
     return -sum([legendre[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p)])
+
+
+def _ec_add(P, Q, A: int, p: int):
+    """P + Q on y^2 = x^3 + Ax + B over F_p; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(P, n: int, A: int, p: int):
+    """[n]P for n >= 0 by double-and-add."""
+    R = None
+    for bit in bin(n)[2:]:
+        R = _ec_add(R, R, A, p)
+        if bit == "1":
+            R = _ec_add(R, P, A, p)
+    return R
+
+
+def _bsgs_trace(E: EllipticCurve, p: int) -> int | None:
+    """a_p at a prime p >= 5 of good reduction, certified from point orders,
+    or None if BSGS_MAX_POINTS points do not pin it.
+
+    Works on the short model y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to E
+    over F_p.  For each point P = (x, y), x = 0, 1, ..., baby-step giant-step
+    finds N with [N]P = O among the multiples of L (the lcm of the orders so
+    far) in the Hasse interval; one scalar multiplication confirms it, and N
+    is cut down to ord(P) over its prime factors.  #E(F_p) is a multiple of
+    L in the interval, so once exactly one multiple lies there, that is
+    #E(F_p).  A point whose order divides L costs one multiplication.
+    """
+    b2, b4, b6, _ = E.b_invariants()
+    A = -27 * (b2 * b2 - 24 * b4) % p
+    B = -54 * (36 * b2 * b4 - b2**3 - 216 * b6) % p
+    hasse = isqrt(4 * p)
+    lo, hi = p + 1 - hasse, p + 1 + hasse
+    L, points = 1, 0
+    for x in range(p):
+        r = (x * x * x + A * x + B) % p
+        try:
+            y = _sqrt_mod_p(r, p)
+        except ValueError:
+            continue
+        if y * y % p != r:
+            raise InternalError(f"{y}^2 != {r} mod {p}")
+        points += 1
+        if points > BSGS_MAX_POINTS:
+            return None
+        P = (x, y)
+        R = _ec_mul(P, L, A, p)
+        if R is None:
+            continue
+        N = L * _bsgs_multiple(R, -(-lo // L), hi // L, A, p)
+        if _ec_mul(P, N, A, p) is not None:
+            raise InternalError(f"[{N}]P != O on y^2 = x^3 + {A}x + {B} mod {p}")
+        for q, _ in factorization(N):
+            while N % q == 0 and _ec_mul(P, N // q, A, p) is None:
+                N //= q
+        L = lcm(L, N)
+        low, high = -(-lo // L), hi // L
+        if low > high:
+            raise InternalError(f"no multiple of {L} in the Hasse interval at p = {p}")
+        if low == high:
+            return p + 1 - L * low
+    return None
+
+
+def _bsgs_multiple(R, low: int, high: int, A: int, p: int) -> int:
+    """Some j >= 1 with [j]R = O.  Baby steps [i]R, 1 <= i <= m, and giant
+    steps [s]R, s = low + m, low + 3m + 1, ..., matched by x as
+    [s]R = +-[i]R, try every j in [low, high]; InternalError if none works."""
+    m = max(1, isqrt(high - low + 1) // 2)
+    baby = {}
+    T = R
+    for i in range(1, m + 1):
+        if T is None:
+            return i
+        baby.setdefault(T[0], (i, T[1]))
+        T = _ec_add(T, R, A, p)
+    step = _ec_mul(R, 2 * m + 1, A, p)
+    s = low + m
+    S = _ec_mul(R, s, A, p)
+    while s - m <= high:
+        if S is None:
+            return s
+        if S[0] in baby:
+            i, y = baby[S[0]]
+            return s - i if S[1] == y else s + i
+        S = _ec_add(S, step, A, p)
+        s += 2 * m + 1
+    raise InternalError(f"no j in [{low}, {high}] with [j]R = O mod {p}")
 
 
 def ap_cm(D: int, p: int) -> tuple[str, int]:

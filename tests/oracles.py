@@ -9,6 +9,8 @@ the totient-bounded set, with no pre-test and no Galois filter.
 ``h_charpoly_full`` recovers every coefficient of the H^r charpoly by
 Newton's identities, where the library recovers half and mirrors the rest
 through the functional equation.
+``ap_charsum`` counts points by Euler's criterion on the long Weierstrass
+model, with no Legendre table, no short model and no group law.
 """
 
 from __future__ import annotations
@@ -99,6 +101,27 @@ def unfiltered_scan(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
 def _divide_by_every_cyclotomic(R: IntPoly) -> tuple[tuple[int, int], ...]:
     mults = ((m, cyclotomic_multiplicity(R, m)) for m in totient_bounded_set(R.degree))
     return tuple((m, e) for m, e in mults if e)
+
+
+def ap_charsum(E, p: int) -> int | None:
+    """a_p = p + 1 - #E(F_p) for a prime p, or None at bad reduction.
+
+    For odd p, completing the square turns the long model into
+    (2y + a1 x + a3)^2 = f(x) = (a1 x + a3)^2 + 4(x^3 + a2 x^2 + a4 x + a6),
+    so each x has 1 + (f(x) | p) points, the symbol read by Euler's
+    criterion f^((p-1)/2) mod p; p = 2 tries the four affine pairs (x, y)."""
+    if E.discriminant() % p == 0:
+        return None
+    if p == 2:
+        affine = sum(
+            (y * y + E.a1 * x * y + E.a3 * y - x**3 - E.a2 * x * x - E.a4 * x - E.a6) % 2 == 0
+            for x in range(2) for y in range(2)
+        )
+        return 2 - affine
+    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
+    e = (p - 1) // 2
+    powers = [pow(((a1 * x + a3) ** 2 + 4 * (((x + a2) * x + a4) * x + a6)) % p, e, p) for x in range(p)]
+    return powers.count(p - 1) - powers.count(1)
 
 
 @lru_cache(maxsize=32)

@@ -273,10 +273,19 @@ def test_bound_C_rejects_nonpositive_log_df():
         bound_C(1, 1, 0, RATIONALS)
 
 
-@pytest.mark.parametrize("c1", [-1, 0])
-def test_bound_C_rejects_nonpositive_c1(c1):
-    with pytest.raises(ValueError, match="c1 must be positive"):
-        bound_C(1, 1, 1, RATIONALS, c1=c1)
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        pytest.param("c1", -1, id="-1"),
+        pytest.param("c1", 0, id="0"),
+        pytest.param("c", -1, id="c=-1"),
+        pytest.param("c", 0, id="c=0"),
+    ],
+)
+def test_bound_C_rejects_nonpositive_c1(name, value):
+    # the paper's c and c1 are positive absolute constants
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        bound_C(1, 1, 1, RATIONALS, **{name: value})
 
 
 def test_bound_C_exact_value_absent_for_d2():

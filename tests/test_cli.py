@@ -296,15 +296,24 @@ def test_bounds_rejects_non_finite_reals(capsys, argv, flag):
     assert flag in err and "finite" in err
 
 
-@pytest.mark.parametrize("c1", ["-1", "0"])
-def test_bounds_C_rejects_nonpositive_c1(capsys, c1):
-    # log c1 is complex for c1 < 0 (a traceback) and -inf at 0 (a raw message)
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        pytest.param("--c1", "-1", id="-1"),
+        pytest.param("--c1", "0", id="0"),
+        pytest.param("--c", "-1", id="c=-1"),
+        pytest.param("--c", "0", id="c=0"),
+    ],
+)
+def test_bounds_C_rejects_nonpositive_c1(capsys, flag, value):
+    # log c1 is complex for c1 < 0 (a traceback) and -inf at 0 (a raw
+    # message); c <= 0 gave C = c1 B^c <= c1 with exit 0
     code, out, err = run_cli(
-        capsys, "bounds", "C", "--N", "1", "--d", "1", "--log-df", "1", "--nk", "1", "--c1", c1, "--json"
+        capsys, "bounds", "C", "--N", "1", "--d", "1", "--log-df", "1", "--nk", "1", flag, value, "--json"
     )
     assert code == 2
     assert out == ""
-    assert "--c1 must be positive" in err
+    assert f"{flag} must be positive" in err
 
 
 @pytest.mark.parametrize(

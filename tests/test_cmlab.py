@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from oracles import ap_charsum
 from tatecycles import cmlab
 from tatecycles.cmlab import (
     CLASS_NUMBER_ONE_DISCS,
@@ -165,6 +166,43 @@ def test_internal_pointcount_against_double_loop():
     for E in _oracle_curves():
         for p in primes_up_to(199):
             assert _pointcount(E, p) == _ap_brute(E, p), (E, p)
+
+
+def test_pointcount_matches_euler_criterion_oracle():
+    # CURVE_37A is the first of the oracle curves
+    for E in _oracle_curves():
+        for p in primes_up_to(3000):
+            assert _pointcount(E, p) == ap_charsum(E, p), (E, p)
+
+
+def test_pointcount_takes_both_routes(monkeypatch):
+    # the certified count answers most primes; the character sum answers
+    # where the point orders leave two candidates, as for y^2 = x^3 + x
+    answered = {"bsgs": 0, "charsum": 0}
+
+    def bsgs(E, p, _original=cmlab._bsgs_trace):
+        a = _original(E, p)
+        answered["bsgs"] += a is not None
+        return a
+
+    def charsum(E, p, _original=cmlab._charsum_trace):
+        answered["charsum"] += p > 3
+        return _original(E, p)
+
+    monkeypatch.setattr(cmlab, "_bsgs_trace", bsgs)
+    monkeypatch.setattr(cmlab, "_charsum_trace", charsum)
+    for E in _oracle_curves():
+        for p in primes_up_to(500):
+            assert _pointcount(E, p) == ap_charsum(E, p), (E, p)
+    assert answered["bsgs"] > 0 and answered["charsum"] > 0, answered
+
+
+def test_pointcount_rejects_a_wrong_square_root(monkeypatch):
+    root = cmlab._sqrt_mod_p
+    monkeypatch.setattr(cmlab, "_sqrt_mod_p", lambda a, p: (root(a, p) + 1) % p)
+    for p in (5, 101, 2999):
+        with pytest.raises(InternalError):
+            _pointcount(CURVE_37A, p)
 
 
 def test_ap_pointcount_hasse():
