@@ -291,6 +291,8 @@ def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, precision_bits
     types of its fields and the echoed strings do not (2 == 2.0, "2" != "2.0").
     """
     with mp.workprec(precision_bits):
+        if mp.mpf(c) <= 0:
+            raise ValueError("c must be positive")
         fk = f_of_K(fp, precision_bits)
         log_const = mp.log(55)
         tail = (

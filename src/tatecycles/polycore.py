@@ -287,39 +287,6 @@ def is_prime(n: int) -> bool:
     return n > 1 and factorization(n) == ((n, 1),)
 
 
-# Strong-pseudoprime bases: the first 13 primes.  No composite below
-# _SPRP_EXACT_BELOW (psi_13, Sorenson & Webster 2017) is a strong pseudoprime
-# to all of them, so the test below is a proof of primality in that range.
-_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_SPRP_EXACT_BELOW = 3317044064679887385961981
-
-
-def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < psi_13; raises ValueError above."""
-    if n >= _SPRP_EXACT_BELOW:
-        raise ValueError(f"Miller-Rabin on the first 13 primes is exact only below {_SPRP_EXACT_BELOW}")
-    if n < 2:
-        return False
-    for p in _SPRP_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SPRP_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     phi = 1

@@ -27,11 +27,12 @@ in K makes (Z/m)^* a quotient of it (Kedlaya 2008; Dupuy, Kedlaya, Roe &
 Vincent 2021).  R is divided by Phi_m only for the allowed m that pass a
 modular pre-test, which never drops a true factor: if Phi_m divides R over Z,
 then R(z) = 0 (mod l) for a prime l = 1 (mod m) and any z of exact order m in
-F_l; a chance pass costs one exact division.  The allowed m are split, in
-ascending order, into batches whose lcm L is at most 2^40 (one batch for
-d <= 6, where their lcm is about 5.6 * 10^11); each shares a prime
-l = 1 (mod L) above 2^40 and a g of exact order L, with z_m = g^(L/m).  Any
-such l is sound; its size sets how rare a chance pass is (one m in about 2^40).
+F_l; a chance pass costs one exact division.  For d <= 6, E_d divides 120 and
+every allowed m divides L = 2^5 3^2 5^2 7 11 13 31 41 61, so one field F_P,
+P = 5L + 1 (the least prime = 1 (mod L) above 2^40), and one g of exact order
+L serve every row, with z_m = g^(L/m).  The size of P sets how rare a chance
+pass is (one m in about 2^40).  The scan covers d <= 6 only; above that it
+raises BudgetExceededError before any H^{2k} work.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ from math import comb, lcm
 from .polycore import (
     BudgetExceededError,
     IntPoly,
-    _is_prime_mr,
     carmichael_lambda,
     cyclotomic_multiplicity,
     euler_phi,
-    factorization,
     is_prime,
 )
 from .weil import WeilPoly, h_charpoly
@@ -124,60 +123,42 @@ def _check_codim(d: int, k: int, n: int = 1) -> None:
         raise ValueError("extension degree must be >= 1")
 
 
-# with l below 2^48 the table's pow calls and the Horner steps stay short ints
-_WITNESS_PRIME_FLOOR = 2**40
-_WITNESS_BATCH_LCM_MAX = 2**40
+# one witness field for every d <= 6 (see the module docstring); _G has exact
+# order _L in F_P, and with _P below 2^48 the Horner steps stay short ints
+_L = 558781423200  # 2^5 3^2 5^2 7 11 13 31 41 61
+_P = 5 * _L + 1  # 2793907116001, the least prime = 1 (mod _L) above 2^40
+_G = 915254021484
+_SCAN_D_MAX = 6
 
 
 @lru_cache(maxsize=None)
-def _witness_table(bound: int, d: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Batches (l, ((m, z_m), ...)), ascending in m, of the m with phi(m) <=
-    bound and lambda(m) | 2 lcm(1..d); z_m has exact order m in F_l."""
+def _witness_table(bound: int, d: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (m, z_m), ascending in m, of the m with phi(m) <= bound and
+    lambda(m) | 2 lcm(1..d); z_m has exact order m in F_P.  Raises
+    BudgetExceededError for d > 6, where an allowed m need not divide _L."""
+    if d > _SCAN_D_MAX:
+        raise BudgetExceededError(f"the cyclotomic scan covers dimension d <= {_SCAN_D_MAX}")
     exponent = 2 * lcm(*range(1, d + 1))
-    batches: list[list[int]] = [[]]
-    L = 1
-    for m in totient_bounded_set(bound):
-        if exponent % carmichael_lambda(m) == 0:
-            if lcm(L, m) > _WITNESS_BATCH_LCM_MAX:
-                batches.append([])
-                L = 1
-            batches[-1].append(m)
-            L = lcm(L, m)
-    table = []
-    for ms in batches:
-        L = lcm(*ms)
-        l = -(-_WITNESS_PRIME_FLOOR // L) * L + 1
-        while not _is_prime_mr(l):
-            l += L
-        # g of exact order L: a product of elements of exact order r^e, one
-        # for each r^e || L; h^((l-1)/r^e) has it when h^((l-1)/r) != 1
-        g = 1
-        for r, e in factorization(L):
-            h = 2
-            while pow(h, (l - 1) // r, l) == 1:
-                h += 1
-            g = g * pow(h, (l - 1) // r**e, l) % l
-        table.append((l, tuple((m, pow(g, L // m, l)) for m in ms)))
-    return tuple(table)
+    return tuple(
+        (m, pow(_G, _L // m, _P)) for m in totient_bounded_set(bound) if exponent % carmichael_lambda(m) == 0
+    )
 
 
-def _cyclotomic_scan(Q: IntPoly, s: int, d: int) -> tuple[tuple[int, int], ...]:
+def _cyclotomic_scan(Q: IntPoly, s: int, witnesses: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """Pairs (m, e), ascending in m, with e > 0 the multiplicity of Phi_m in
-    R(T) = Q(sT).  Only the m allowed at dimension d whose witness z_m is a
-    root of R mod l are divided out (see the module docstring), so the scan
-    is complete only for R built from a d-dimensional Weil polynomial."""
+    R(T) = Q(sT).  Only the m of ``witnesses`` (a _witness_table) whose z_m is
+    a root of R mod P are divided out (see the module docstring), so the scan
+    is complete only for R built from a Weil polynomial of the table's d."""
     R = Q.scale_variable(s)
     # R(z) = Q(sz); for s = q^k, Q has about half the coefficient bits of R
-    top_down_Q = Q.coeffs[::-1]
+    top_down = [c % _P for c in Q.coeffs[::-1]]
     out = []
-    for l, witnesses in _witness_table(R.degree, d):
-        top_down = [c % l for c in top_down_Q]
-        for m, z in witnesses:
-            x, acc = s * z % l, 0
-            for c in top_down:
-                acc = (acc * x + c) % l
-            if acc == 0 and (e := cyclotomic_multiplicity(R, m)):
-                out.append((m, e))
+    for m, z in witnesses:
+        x, acc = s * z % _P, 0
+        for c in top_down:
+            acc = (acc * x + c) % _P
+        if acc == 0 and (e := cyclotomic_multiplicity(R, m)):
+            out.append((m, e))
     return tuple(out)
 
 
@@ -185,8 +166,10 @@ def _cyclotomic_scan(Q: IntPoly, s: int, d: int) -> tuple[tuple[int, int], ...]:
 def _unity_ratio_multiplicities(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
     """Pairs (m, e), e > 0, of Phi_m^e in R(T) = Q(q^k T), Q the H^{2k}
     charpoly; complete since any Phi_m dividing R has phi(m) <= deg R and
-    lambda(m) | 2 lcm(1..d)."""
-    return _cyclotomic_scan(h_charpoly(w, 2 * k), w.q**k, w.d)
+    lambda(m) | 2 lcm(1..d).  Raises BudgetExceededError for d > 6 before
+    the charpoly is built."""
+    witnesses = _witness_table(comb(2 * w.d, 2 * k), w.d)
+    return _cyclotomic_scan(h_charpoly(w, 2 * k), w.q**k, witnesses)
 
 
 def _stable(mults: tuple[tuple[int, int], ...]) -> tuple[int, int]:

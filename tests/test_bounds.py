@@ -1,6 +1,7 @@
 """Effective-bound calculators against independent high-precision evaluation."""
 
 import random
+from functools import partial
 from math import factorial
 
 import pytest
@@ -274,18 +275,21 @@ def test_bound_C_rejects_nonpositive_log_df():
 
 
 @pytest.mark.parametrize(
-    "name, value",
+    "bound, name, value",
     [
-        pytest.param("c1", -1, id="-1"),
-        pytest.param("c1", 0, id="0"),
-        pytest.param("c", -1, id="c=-1"),
-        pytest.param("c", 0, id="c=0"),
+        pytest.param(partial(bound_C, 1, 1, 1, RATIONALS), "c1", -1, id="-1"),
+        pytest.param(partial(bound_C, 1, 1, 1, RATIONALS), "c1", 0, id="0"),
+        pytest.param(partial(bound_C, 1, 1, 1, RATIONALS), "c", -1, id="c=-1"),
+        pytest.param(partial(bound_C, 1, 1, 1, RATIONALS), "c", 0, id="c=0"),
+        pytest.param(partial(least_nonsplit_bound, RATIONALS, 1, 2), "c", -1, id="nonsplit c=-1"),
+        pytest.param(partial(least_nonsplit_bound, RATIONALS, 1, 2), "c", 0, id="nonsplit c=0"),
     ],
 )
-def test_bound_C_rejects_nonpositive_c1(name, value):
-    # the paper's c and c1 are positive absolute constants
+def test_bound_C_rejects_nonpositive_c1(bound, name, value):
+    # the paper's c and c1 in C and in the least-non-split bound are positive
+    # absolute constants
     with pytest.raises(ValueError, match=f"^{name} must be positive"):
-        bound_C(1, 1, 1, RATIONALS, **{name: value})
+        bound(**{name: value})
 
 
 def test_bound_C_exact_value_absent_for_d2():

@@ -296,24 +296,30 @@ def test_bounds_rejects_non_finite_reals(capsys, argv, flag):
     assert flag in err and "finite" in err
 
 
+_BOUNDS_C = ("bounds", "C", "--N", "1", "--d", "1", "--log-df", "1", "--nk", "1")
+_BOUNDS_NONSPLIT = ("bounds", "nonsplit", "--nk", "1", "--log-dl", "1", "--n", "2")
+
+
 @pytest.mark.parametrize(
-    "flag, value",
+    "argv, flag, value, message",
     [
-        pytest.param("--c1", "-1", id="-1"),
-        pytest.param("--c1", "0", id="0"),
-        pytest.param("--c", "-1", id="c=-1"),
-        pytest.param("--c", "0", id="c=0"),
+        pytest.param(_BOUNDS_C, "--c1", "-1", "--c1 must be positive", id="-1"),
+        pytest.param(_BOUNDS_C, "--c1", "0", "--c1 must be positive", id="0"),
+        pytest.param(_BOUNDS_C, "--c", "-1", "--c must be positive", id="c=-1"),
+        pytest.param(_BOUNDS_C, "--c", "0", "--c must be positive", id="c=0"),
+        pytest.param(_BOUNDS_NONSPLIT, "--c", "-1", "c must be positive", id="nonsplit c=-1"),
+        pytest.param(_BOUNDS_NONSPLIT, "--c", "0", "c must be positive", id="nonsplit c=0"),
+        pytest.param(("cm", "nonsplit", "--disc", "-4"), "--c", "0", "c must be positive", id="cm nonsplit c=0"),
     ],
 )
-def test_bounds_C_rejects_nonpositive_c1(capsys, flag, value):
+def test_bounds_C_rejects_nonpositive_c1(capsys, argv, flag, value, message):
     # log c1 is complex for c1 < 0 (a traceback) and -inf at 0 (a raw
-    # message); c <= 0 gave C = c1 B^c <= c1 with exit 0
-    code, out, err = run_cli(
-        capsys, "bounds", "C", "--N", "1", "--d", "1", "--log-df", "1", "--nk", "1", flag, value, "--json"
-    )
+    # message); c <= 0 gave C = c1 B^c <= c1, and a least-non-split bound
+    # with e^{c f(K)} <= 1, with exit 0
+    code, out, err = run_cli(capsys, *argv, flag, value, "--json")
     assert code == 2
     assert out == ""
-    assert f"{flag} must be positive" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,6 @@ from mpmath import mp
 from oracles import complex_roots
 from tatecycles.cmlab import primes_up_to
 from tatecycles.polycore import (
-    _SPRP_EXACT_BELOW,
-    _is_prime_mr,
     FACTOR_TRIAL_BOUND,
     BudgetExceededError,
     IntMatrix,
@@ -579,42 +577,3 @@ def test_factorization_budget_edge():
     with pytest.raises(BudgetExceededError):
         is_prime(1000000000000000003)
 
-
-# ---------------------------------------------------------------------------
-# deterministic Miller-Rabin on the first 13 primes
-
-def _strong_probable_prime(n, a):
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(a, d, n)
-    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
-
-
-def test_is_prime_mr_matches_is_prime():
-    assert [n for n in range(-3, 2 * 10**5) if _is_prime_mr(n)] == [
-        n for n in range(-3, 2 * 10**5) if is_prime(n)
-    ]
-
-
-def test_is_prime_mr_rejects_psi_12():
-    # psi_12 passes the strong test to every prime base up to 37 and fails 41
-    psi_12 = 318665857834031151167461
-    assert psi_12 == 399165290221 * 798330580441
-    assert all(_strong_probable_prime(psi_12, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-    assert not _strong_probable_prime(psi_12, 41)
-    assert not _is_prime_mr(psi_12)
-
-
-def test_is_prime_mr_raises_at_psi_13():
-    # psi_13 is a composite that passes all 13 bases, so the test must refuse it
-    psi_13 = _SPRP_EXACT_BELOW
-    assert psi_13 == 3317044064679887385961981 == 1287836182261 * 2575672364521
-    assert all(_strong_probable_prime(psi_13, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
-    assert _is_prime_mr(2**61 - 1)
-    assert not _is_prime_mr(2**61 + 1)  # divisible by 3
-    with pytest.raises(ValueError):
-        _is_prime_mr(_SPRP_EXACT_BELOW)
-    with pytest.raises(ValueError):
-        _is_prime_mr(_SPRP_EXACT_BELOW + 1)

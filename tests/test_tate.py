@@ -2,6 +2,7 @@
 oracle, and the property suite."""
 
 import random
+import time
 from math import comb, gcd, lcm
 
 import pytest
@@ -11,7 +12,6 @@ from conftest import cyclotomic_suite, instance_suite, random_weil
 from oracles import PrecisionInsufficientError, _classify_distance, tate_dim_numeric, unfiltered_scan
 from tatecycles import polycore
 from tatecycles.polycore import (
-    _SPRP_EXACT_BELOW,
     BudgetExceededError,
     IntPoly,
     carmichael_lambda,
@@ -20,6 +20,9 @@ from tatecycles.polycore import (
     factorization,
 )
 from tatecycles.tate import (
+    _G,
+    _L,
+    _P,
     D_REPORT_BUDGET,
     DISPLAY_N_CAP,
     N_REPORT_BUDGET,
@@ -167,32 +170,49 @@ def _check_witnesses(l, witnesses):
         assert all(pow(z, m // r, l) != 1 for r, _ in factorization(m))
 
 
-def test_witness_table_one_prime_per_row_to_d6():
+def test_witness_field_constants():
+    # F = P - 1: _pocklington_prime factors it by polycore.factorization,
+    # which either factors exactly or raises
+    assert _P == 5 * _L + 1 and 2**40 < _P < 2**48
+    assert _pocklington_prime(_P, _P - 1)
+    assert (_P - 1) % _L == 0
+    # every order allowed at any d <= 6 divides _L, and the largest row needs all of it
+    assert _L == lcm(*_allowed_orders(924, 6))
+    assert pow(_G, _L, _P) == 1
+    assert all(pow(_G, _L // r, _P) != 1 for r, _ in factorization(_L))
+
+
+def test_witness_table_lists_allowed_orders_to_d6():
     for d in range(1, 7):
         for k in range(d + 1):
             bound = comb(2 * d, 2 * k)
-            ((l, witnesses),) = _witness_table(bound, d)
+            witnesses = _witness_table(bound, d)
             assert [m for m, _ in witnesses] == _allowed_orders(bound, d)
-            L = lcm(*(m for m, _ in witnesses))
-            assert L <= 2**40 < l < 2**48 and (l - 1) % L == 0
-            # F = l - 1: _pocklington_prime factors it by polycore.factorization,
-            # which either factors exactly or raises
-            assert _pocklington_prime(l, l - 1)
-            _check_witnesses(l, witnesses)
+            assert all(_L % m == 0 for m, _ in witnesses)
+            _check_witnesses(_P, witnesses)
 
 
-def test_witness_table_d7_batches_stay_below_psi_13():
-    table = _witness_table(91, 7)
-    assert len(table) > 1
-    assert [m for _, witnesses in table for m, _ in witnesses] == _allowed_orders(91, 7)
-    for l, witnesses in table:
-        L = lcm(*(m for m, _ in witnesses))
-        assert L <= 2**40 < l < _SPRP_EXACT_BELOW and (l - 1) % L == 0
-        _check_witnesses(l, witnesses)
-    # _is_prime_mr raises at psi_13 and above, so building every d = 7 row
-    # shows that no candidate l reaches it
+def test_scan_raises_past_d6():
+    # an allowed order at d = 7 need not divide _L, so the scan refuses d >= 7
+    # before building any H^{2k} charpoly (for these seven curves over F_7 the
+    # H^6 charpoly alone takes about 20 s)
+    w = None
+    for a in (1, 2, -3, 4, 0, 5, -1):
+        e = weil_from_trace(a, 7)
+        w = e if w is None else product_variety(w, e)
+    assert w.d == 7
+    start = time.perf_counter()
     for k in range(8):
-        assert max(l for l, _ in _witness_table(comb(14, 2 * k), 7)) < 2**48
+        with pytest.raises(BudgetExceededError):
+            tate_dim(w, k, 1)
+        with pytest.raises(BudgetExceededError):
+            stable_tate_dim(w, k)
+    assert time.perf_counter() - start < 1
+    f = cyclotomic(7) * IntPoly([-2, 1]) ** 85
+    with pytest.raises(BudgetExceededError):
+        _cyclotomic_scan(f, 1, _witness_table(f.degree, 7))
+    with pytest.raises(BudgetExceededError):
+        _witness_table(1, 8)
 
 
 def test_scan_matches_unfiltered_division():
@@ -219,10 +239,10 @@ def test_scan_finds_smallest_and_largest_allowed_orders():
         f = cyclotomic(m) ** 2 * cyclotomic(m2)
         f = f * IntPoly([-2, 1]) ** (70 - f.degree)
         expected = tuple(sorted([(m, 2), (m2, 1)]))
-        assert _cyclotomic_scan(f, 1, 4) == expected
+        assert _cyclotomic_scan(f, 1, _witness_table(70, 4)) == expected
         # Q(T) = 9^70 f(T / 9), so that R(T) = Q(9T) = 9^70 f(T)
         Q = IntPoly([c * 9 ** (70 - i) for i, c in enumerate(f.coeffs)])
-        assert _cyclotomic_scan(Q, 9, 4) == expected
+        assert _cyclotomic_scan(Q, 9, _witness_table(70, 4)) == expected
 
 
 # ---------------------------------------------------------------------------
