@@ -17,7 +17,10 @@ phi(m) * e roots.  Hence
 and only m with phi(m) <= deg R = binom(2d, 2k) can occur, which bounds the
 extension degree needed to see every Tate class independently of q.
 ``tate_profile`` returns these dimensions as a plain tuple of ``TateRow``s,
-one for each k = 0..d; q and d are read off w itself.
+one for each k = 0..d; q and d are read off w itself.  Poincare duality
+makes row d - k equal to row k: the H^{2k} roots are q^{2k-d} times the
+H^{2d-2k} roots, so R_k(T) = s^N R_{d-k}(T) with s = q^{2k-d}, and the rows
+with 2k > d reuse the cyclotomic pairs of row d - k.
 
 The cyclotomic scan skips every m whose Carmichael lambda(m) does not divide
 E_d = 2 lcm(1..d).  The roots of R lie in the splitting field K of w, whose
@@ -64,9 +67,10 @@ DISPLAY_N_CAP = 60
 # largest n_report tate_profile tabulates; at d = 2 the CLI report for
 # 10^5 degrees is already 19 MB of JSON
 N_REPORT_BUDGET = 10**5
-# largest dimension tate_profile reports on; at d = 6 the rows take about
-# 0.7 s and 19 MB (2 cores, Python 3.11.7): 0.3 s for the H^6 charpoly, 0.2 s
-# for the k = 3 scan (a six-fold elliptic product over F_7)
+# largest dimension tate_profile reports on; at d = 6 (a six-fold elliptic
+# product over F_7) the rows take 0.74 s and an 18 MB peak, 0.87 s without
+# duality (2 cores, Python 3.11.7): H^6 0.42 s, the k = 3 scan 0.21 s, H^8
+# 0.086 -> 0.003 s and the k = 4..6 scans 0.076 s -> under 0.1 ms
 D_REPORT_BUDGET = 5
 
 
@@ -167,7 +171,10 @@ def _unity_ratio_multiplicities(w: WeilPoly, k: int) -> tuple[tuple[int, int], .
     """Pairs (m, e), e > 0, of Phi_m^e in R(T) = Q(q^k T), Q the H^{2k}
     charpoly; complete since any Phi_m dividing R has phi(m) <= deg R and
     lambda(m) | 2 lcm(1..d).  Raises BudgetExceededError for d > 6 before
-    the charpoly is built."""
+    the charpoly is built.  For 2k > d the pairs are those of row d - k: by
+    Poincare duality R_k(T) = s^N R_(d-k)(T), s = q^(2k-d) (see h_charpoly)."""
+    if 2 * k > w.d:
+        return _unity_ratio_multiplicities(w, w.d - k)
     witnesses = _witness_table(comb(2 * w.d, 2 * k), w.d)
     return _cyclotomic_scan(h_charpoly(w, 2 * k), w.q**k, witnesses)
 

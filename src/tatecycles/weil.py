@@ -14,8 +14,9 @@ integers; nothing here uses floating point.
 
 The characteristic polynomials on H^r, plain ``IntPoly``s, and the base
 changes to extensions are computed in integer arithmetic from power sums by
-Newton's identities; this module calls no matrix code.  The compound-matrix
-route in ``polycore`` is the independent oracle the tests check them against.
+Newton's identities, and H^r for d < r < 2d by rescaling its Poincare dual
+H^(2d-r); this module calls no matrix code.  The compound-matrix route in
+``polycore`` is the independent oracle the tests check them against.
 """
 
 from __future__ import annotations
@@ -153,6 +154,13 @@ def product_variety(a: WeilPoly, b: WeilPoly) -> WeilPoly:
 
 @lru_cache(maxsize=1024)
 def _subset_product_charpoly(coeffs: tuple[int, ...], r: int, q: int) -> IntPoly:
+    d = (len(coeffs) - 1) // 2
+    if d < r < 2 * d:
+        # Poincare duality: the roots are s = q^(r-d) times those of H^(2d-r),
+        # so a_i becomes a_i s^(N-i), a rescale of the reversed coefficients;
+        # H^2d = T - q^d comes out of the mirror below with no Newton step
+        dual = IntPoly(_subset_product_charpoly(coeffs, 2 * d - r, q).coeffs[::-1])
+        return IntPoly(dual.scale_variable(q ** (r - d)).coeffs[::-1])
     # The alpha^j have power sums P_j, P_2j, ..., and Newton's recursion on
     # the first r of them ends in a_r = (-1)^r e_r(alpha^j).  Only the sums
     # for j <= N/2 are taken: the roots pair as beta <-> q^r / beta with
@@ -181,10 +189,16 @@ def h_charpoly(w: WeilPoly, r: int) -> IntPoly:
     product q^(rN/2), because a WeilPoly has f(0) = q^d and
     T^(2d) f(q/T) = q^d f(T), so the coefficient a_(N-i) of T^i is
     (-1)^N q^(r(N-2i)/2) a_i.  The upper coefficients are the large ones, so
-    this saves most of the Newton work.  The characteristic polynomial of the
-    r-th compound of the companion matrix (``polycore.compound_matrix``) and
-    the full Newton recovery (``h_charpoly_full`` in the tests' oracles) give
-    the same polynomial and serve as the independent checks.
+    this saves most of the Newton work.  For d < r < 2d, Poincare duality
+    gives H^r from H^(2d-r) with no Newton pass: the product over an
+    r-subset J is q^d / alpha_K over its complement K, and alpha -> q/alpha
+    fixes the root multiset, so the roots are s = q^(r-d) times those of
+    H^(2d-r) and H^r(T) = s^N Q_(2d-r)(T/s), whose T^i coefficient is
+    a_i s^(N-i); it is exact and cached per (w, r) like the direct route.  The characteristic
+    polynomial of the r-th compound of the companion matrix
+    (``polycore.compound_matrix``) and the full Newton recovery
+    (``h_charpoly_full`` in the tests' oracles) give the same polynomial and
+    serve as the independent checks.
 
     >>> h_charpoly(weil_from_trace(0, 5), 2)
     IntPoly('T - 5')

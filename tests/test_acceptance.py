@@ -110,6 +110,9 @@ def test_criterion_4_property_suite(random_suite):
                 failures += 1
             if any(dims[n] > stable for n in dims):
                 failures += 1
+            # the library reads row d - k from row k, so this holds by
+            # construction; tests/test_tate.py::test_duality rebuilds the dual
+            # row from the full-recovery oracle
             for n in range(1, 7):
                 if tate_dim(w, k, n) != tate_dim(w, w.d - k, n):
                     failures += 1

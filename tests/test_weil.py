@@ -252,7 +252,9 @@ def _reversed_scaled(f: IntPoly, s: int) -> IntPoly:
 
 
 def test_h_charpoly_complement_pairing():
-    # root multisets of H^r and H^{2d-r} correspond under a -> q^d / a
+    # root multisets of H^r and H^{2d-r} correspond under a -> q^d / a;
+    # h_charpoly builds H^r for d < r < 2d from this pairing, so the full-recovery
+    # and compound oracles below are the independent checks
     for w in instance_suite(15, seed=13):
         for r in range(0, 2 * w.d + 1):
             Qr = h_charpoly(w, r)
