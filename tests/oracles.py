@@ -4,11 +4,12 @@
 ``tate_dim_numeric`` counts Tate classes by enumerating eigenvalue subsets.
 Neither shares code with the exact cyclotomic route they check, and the
 library itself never calls them, so importing it loads no mpmath.
-``unfiltered_scan`` divides the H^{2k} ratio polynomial by every Phi_m of
-the totient-bounded set, with no pre-test and no Galois filter.
 ``h_charpoly_full`` recovers every coefficient of the H^r charpoly by
-Newton's identities, where the library recovers half and mirrors the rest
-through the functional equation.
+Newton's identities, where the library recovers half, mirrors the rest
+through the functional equation and takes r > d from the Poincare dual.
+``unfiltered_scan`` divides the H^{2k} ratio polynomial built from it by
+every Phi_m of the totient-bounded set, with no pre-test, no Galois filter
+and no cache keyed on the normalized polynomial.
 ``ap_charsum`` counts points by Euler's criterion on the long Weierstrass
 model, with no Legendre table, no short model and no group law.
 """
@@ -32,7 +33,7 @@ from tatecycles.polycore import (
     squarefree_decomposition,
 )
 from tatecycles.tate import _check_codim, totient_bounded_set
-from tatecycles.weil import WeilPoly, h_charpoly
+from tatecycles.weil import WeilPoly
 
 NUMERIC_GUARD_MAX_H1_DEGREE = 16
 
@@ -90,11 +91,14 @@ def h_charpoly_full(w: WeilPoly, r: int) -> IntPoly:
 
 def unfiltered_scan(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
     """Pairs (m, e), e > 0, of Phi_m^e dividing R(T) = Q(q^k T), Q the H^{2k}
-    charpoly, found by dividing R by Phi_m for every m with phi(m) <= deg R.
+    charpoly from ``h_charpoly_full`` (no mirror, no duality, no cache shared
+    with the library), found by dividing R by Phi_m for every m with
+    phi(m) <= deg R.
 
     Phi_m is primitive, so by Gauss's lemma its multiplicity in R is the one
     in the primitive part of R, which is what is divided (and cached)."""
-    return _divide_by_every_cyclotomic(_primitive(h_charpoly(w, 2 * k).scale_variable(w.q**k)))
+    Q = h_charpoly_full(w, 2 * k) if k else IntPoly([-1, 1])
+    return _divide_by_every_cyclotomic(_primitive(Q.scale_variable(w.q**k)))
 
 
 @lru_cache(maxsize=None)

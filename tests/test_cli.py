@@ -199,6 +199,17 @@ def test_bounds_fk_rationals(capsys):
     assert report["rows"][0]["value"] == "1.0"
 
 
+def test_bounds_fk_reads_no_discriminant_without_exceptional_zero(capsys):
+    # any finite log |d_K| >= 0 is in the domain, however large: without an
+    # exceptional zero f(K) = n_K^2; with one, the cap on log|d_K| / n_K exits 3
+    report = run_json(capsys, "bounds", "fk", "--nk", "2", "--log-dk", "1e999999")
+    assert report["rows"][0]["inputs"]["log_abs_disc_K"] == "1e999999"
+    assert report["rows"][0]["value"] == "4.0"
+    code, out, err = run_cli(capsys, "bounds", "fk", "--nk", "2", "--log-dk", "1e999999", "--exceptional", "yes")
+    assert (code, out) == (3, "")
+    assert "budget exceeded" in err
+
+
 def test_bounds_B_worked_example(capsys):
     report = run_json(capsys, "bounds", "B", "--N", "2", "--nk", "1", "--m", "1", "--d", "1")
     row = report["rows"][0]

@@ -2,7 +2,10 @@
 oracle, and the property suite."""
 
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
@@ -12,16 +15,13 @@ from conftest import cyclotomic_suite, instance_suite, random_weil
 from oracles import (
     PrecisionInsufficientError,
     _classify_distance,
-    _divide_by_every_cyclotomic,
-    h_charpoly_full,
     tate_dim_numeric,
     unfiltered_scan,
 )
-from tatecycles import polycore
+from tatecycles import polycore, tate
 from tatecycles.polycore import (
     BudgetExceededError,
     IntPoly,
-    _primitive,
     carmichael_lambda,
     cyclotomic,
     euler_phi,
@@ -35,6 +35,8 @@ from tatecycles.tate import (
     DISPLAY_N_CAP,
     N_REPORT_BUDGET,
     _cyclotomic_scan,
+    _normalize,
+    _pairs,
     _unity_ratio_multiplicities,
     _witness_table,
     degree_bound,
@@ -43,7 +45,7 @@ from tatecycles.tate import (
     tate_profile,
     totient_bounded_set,
 )
-from tatecycles.weil import base_change, product_variety, validate_weil, weil_from_trace
+from tatecycles.weil import base_change, h_charpoly, product_variety, validate_weil, weil_from_trace
 
 
 def _supersingular_exe(q=5):
@@ -224,16 +226,24 @@ def test_scan_raises_past_d6():
 
 
 def test_scan_matches_unfiltered_division():
-    for w in instance_suite(120, d_max=5, seed=24):
-        for k in range(w.d + 1):
-            assert _unity_ratio_multiplicities(w, k) == unfiltered_scan(w, k), (w, k)
+    # the pair cache is shared by every w with the same normalized key, so the
+    # suite runs cold, then warm in reverse order, where every row is a hit
+    suite = instance_suite(120, d_max=5, seed=24)
+    _unity_ratio_multiplicities.cache_clear()
+    for instances in (suite, suite[::-1]):
+        misses = _unity_ratio_multiplicities.cache_info().misses
+        for w in instances:
+            u = _normalize(w)
+            for k in range(w.d + 1):
+                assert _pairs(u, k) == unfiltered_scan(w, k), (w, k)
+    assert _unity_ratio_multiplicities.cache_info().misses == misses
 
 
 def test_scan_matches_unfiltered_division_on_cyclotomic_family():
     orders = set()
     for w in cyclotomic_suite(d_max=5):
         for k in range(w.d + 1):
-            mults = _unity_ratio_multiplicities(w, k)
+            mults = _pairs(_normalize(w), k)
             assert mults == unfiltered_scan(w, k), (w, k)
             orders.update(m for m, _ in mults)
     assert max(orders) >= 90 and len(orders) > 30
@@ -251,6 +261,90 @@ def test_scan_finds_smallest_and_largest_allowed_orders():
         # Q(T) = 9^70 f(T / 9), so that R(T) = Q(9T) = 9^70 f(T)
         Q = IntPoly([c * 9 ** (70 - i) for i, c in enumerate(f.coeffs)])
         assert _cyclotomic_scan(Q, 9, _witness_table(70, 4)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the pair cache, keyed on the normalized polynomial w(sqrt(q) T) / q^d
+
+def _lift(w):
+    """q^(2d) w(T / q) over q^3: every root times q, so every root over
+    sqrt(q^3) equals the root of w over sqrt(q)."""
+    top = w.poly.degree
+    return validate_weil(IntPoly([c * w.q ** (top - i) for i, c in enumerate(w.poly.coeffs)]), w.q**3)
+
+
+def _negate(w):
+    """w(-T): every root negated, so the odd coefficients change sign."""
+    return validate_weil(IntPoly([-c if i % 2 else c for i, c in enumerate(w.poly.coeffs)]), w.q)
+
+
+def _normalized_coefficients(w):
+    """Each coefficient c_i / q^((2d - i)/2) of w(sqrt(q) T) / q^d, as its sign
+    and its exact square."""
+    top = w.poly.degree
+    return tuple(((c > 0) - (c < 0), Fraction(c * c, w.q ** (top - i))) for i, c in enumerate(w.poly.coeffs))
+
+
+def test_lift_is_served_from_the_cache(monkeypatch):
+    calls = []
+
+    def spy(w, r):
+        calls.append((w, r))
+        return h_charpoly(w, r)
+
+    monkeypatch.setattr(tate, "h_charpoly", spy)
+    for w in instance_suite(12, d_max=4, seed=30):
+        lifted = _lift(w)
+        assert _normalize(lifted) == _normalize(w)
+        profile = tate_profile(w)
+        hits = _unity_ratio_multiplicities.cache_info().hits
+        calls.clear()
+        assert tate_profile(lifted) == profile, w
+        assert _unity_ratio_multiplicities.cache_info().hits == hits + w.d + 1
+        assert calls == []
+
+
+def test_negated_odd_coefficients_miss_with_correct_pairs():
+    # an even number of negated roots has the same product, so R_k and its
+    # pairs are those of w, yet the key tells the two apart
+    suite = [w for w in instance_suite(12, d_max=4, seed=31) if any(w.poly.coeffs[1::2])]
+    assert len(suite) > 6
+    _unity_ratio_multiplicities.cache_clear()
+    for w in suite:
+        tate_profile(w)
+    for w in suite:
+        negated = _negate(w)
+        assert _normalize(negated) != _normalize(w)
+        misses = _unity_ratio_multiplicities.cache_info().misses
+        for k in range(w.d // 2 + 1):
+            assert _pairs(_normalize(negated), k) == unfiltered_scan(negated, k) == unfiltered_scan(w, k), (w, k)
+        assert _unity_ratio_multiplicities.cache_info().misses == misses + w.d // 2 + 1
+
+
+def test_equal_keys_are_equal_normalized_polynomials():
+    suite = instance_suite(60, d_max=4, seed=32)
+    suite += [_lift(w) for w in suite] + [_negate(w) for w in suite[:20]]
+    by_key = {}
+    for w in suite:
+        by_key.setdefault(_normalize(w).key, set()).add(_normalized_coefficients(w))
+    assert len(by_key) < len(suite) - 50  # the lifts share their keys
+    assert all(len(polys) == 1 for polys in by_key.values())
+    assert len({polys.pop() for polys in by_key.values()}) == len(by_key)
+
+
+def test_profiles_from_threads_match_serial():
+    # README: tate is safe for concurrent use; four threads share the warm
+    # cache, switching as often as the interpreter allows
+    suite = instance_suite(40, d_max=4, seed=33)
+    serial = [tate_profile(w) for w in suite]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(lambda: [tate_profile(w) for w in suite]) for _ in range(4)]
+            assert all(run.result(timeout=60) == serial for run in runs)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +486,12 @@ def test_strict_growth_possible():
 
 def test_duality():
     # tate_dim reads row d - k from row k, so the dual row is rebuilt with no
-    # shortcut: every coefficient of H^{2(d-k)} by Newton's identities,
-    # rescaled by q^(d-k), divided by every Phi_m of the totient-bounded set
+    # shortcut by unfiltered_scan: every coefficient of H^{2(d-k)} by Newton's
+    # identities, rescaled by q^(d-k), divided by every Phi_m of the
+    # totient-bounded set
     for w in instance_suite(25, seed=26):
         for k in range(w.d + 1):
-            j = w.d - k
-            Q = h_charpoly_full(w, 2 * j) if j else IntPoly([-1, 1])
-            mults = _divide_by_every_cyclotomic(_primitive(Q.scale_variable(w.q**j)))
+            mults = unfiltered_scan(w, w.d - k)
             for n in range(1, 7):
                 dual = sum(euler_phi(m) * e for m, e in mults if n % m == 0)
                 assert tate_dim(w, k, n) == dual, (w, k, n)
