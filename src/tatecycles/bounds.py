@@ -10,15 +10,14 @@ real-number arguments (``parse_real``) and prints real values
 (``format_real``, LOG_VALUE_DIGITS significant digits), so no other module
 needs mpmath to handle them.
 
-``least_nonsplit_bound`` runs once per discriminant in a sweep, so it works on
-raw mpf tuples (``mpmath.libmp``) and passes the precision to each operation,
-rounding every step exactly as the ``mp`` context would; it neither reads nor
-sets ``mp.prec``.  It caches, per (field, c, n, precision), everything that
-does not depend on d_L: c f(K), 5/(2(n-1)), log 55 and their echoed strings.
-``exact_value`` runs on the same raw tuples and certifies the ceiling with an
-exact integer comparison.  ln 2, the 4096-bit cap and the 1e-20 slack of the
-logarithmic floor test are cached per precision.  All caches are bounded and
-filled on first use.
+Every operation names its precision (``mp.mpf(x, prec=p)``, ``mp.fadd`` and
+the like with ``prec=p``, or raw ``mpmath.libmp`` calls), rounding as the
+``mp`` context would at p bits; nothing reads or sets ``mp.prec``, so reports
+do not depend on the caller's precision or on other threads.  Real inputs
+(int, float, decimal string or mpf) are read at each evaluation's precision.
+``least_nonsplit_bound``, run once per discriminant in a sweep, works on raw
+mpf tuples and caches per (field, c, n, precision) c f(K), 5/(2(n-1)), log 55
+and their echoed strings.  ln 2 and the 4096-bit cap are cached per precision.
 """
 
 from __future__ import annotations
@@ -29,7 +28,9 @@ from math import ceil, factorial, log2
 
 from mpmath import mp
 from mpmath.libmp import (
+    fone,
     from_int,
+    from_str,
     mpf_add,
     mpf_div,
     mpf_exp,
@@ -37,6 +38,8 @@ from mpmath.libmp import (
     mpf_log,
     mpf_mul,
     mpf_pos,
+    mpf_sub,
+    mpf_sum,
     round_ceiling,
     round_floor,
     round_nearest,
@@ -97,9 +100,9 @@ class FieldParams:
             raise ValueError("field degree must be >= 1")
         if self.has_exceptional_zero not in _EXCEPTIONAL_FLAGS:
             raise ValueError(f"has_exceptional_zero must be one of {_EXCEPTIONAL_FLAGS}")
-        if mp.mpf(self.log_abs_disc) < 0:
+        if mp.mpf(self.log_abs_disc, prec=DEFAULT_PRECISION_BITS) < 0:  # any precision keeps the sign
             raise ValueError("log |d_K| must be >= 0")
-        if self.n_K == 1 and mp.mpf(self.log_abs_disc) != 0:
+        if self.n_K == 1 and mp.mpf(self.log_abs_disc, prec=DEFAULT_PRECISION_BITS) != 0:
             raise ValueError("the rationals have |d_K| = 1, so log |d_K| must be 0")
 
 
@@ -122,8 +125,7 @@ def parse_real(text: str, flag: str, precision_bits: int = DEFAULT_PRECISION_BIT
     """
     _check_precision(precision_bits)
     try:
-        with mp.workprec(precision_bits):
-            value = mp.mpf(text)
+        value = mp.mpf(text, prec=precision_bits)
     except ValueError:
         value = None
     if value is None or not mp.isfinite(value):
@@ -149,9 +151,8 @@ class BoundReport:
     relative 1/exact_value away from the true value).  With v = e^L rounded
     to a binary fraction, the ceiling c >= 2 is certified by the exact integer
     comparison (c - v + 2^-32)(c + 1) < c; only where it fails is the
-    logarithmic floor test run.  ``least_nonsplit_bound`` computes its
-    report with the precision passed to each operation, never through the
-    global ``mp`` context, so the report does not depend on ``mp.prec``.
+    logarithmic floor test run.  L is evaluated at no fewer than log2(v) + 80
+    bits, so only ``log_value`` and the echoed inputs depend on the precision.
     """
 
     name: str
@@ -168,30 +169,26 @@ class BoundReport:
         }
 
 
-def _fp_inputs(fp: FieldParams) -> list[tuple[str, str]]:
+def _fp_inputs(fp: FieldParams, prec: int) -> list[tuple[str, str]]:
     return [
         ("n_K", str(fp.n_K)),
-        ("log_abs_disc_K", format_real(mp.mpf(fp.log_abs_disc))),
+        ("log_abs_disc_K", format_real(mp.mpf(fp.log_abs_disc, prec=prec))),
         ("has_exceptional_zero", fp.has_exceptional_zero),
     ]
 
 
 @lru_cache(maxsize=16)
 def _log2_and_cap(prec: int):
-    """ln 2 and the 4096-bit cap on log_value as raw mpfs at ``prec`` bits."""
+    """ln 2, the 4096-bit cap on log_value and (prec - 80) ln 2, the log above
+    which exact_value needs more than ``prec`` bits, as raw mpfs at ``prec`` bits."""
     ln2 = mpf_log(from_int(2), prec, round_nearest)
-    return ln2, mpf_mul(from_int(EXACT_VALUE_MAX_BITS), ln2, prec, round_nearest)
-
-
-@lru_cache(maxsize=64)
-def _floor_slack(prec: int):
-    with mp.workprec(prec):
-        return mp.mpf("1e-20")
+    cap, limit = (mpf_mul(from_int(bits), ln2, prec, round_nearest) for bits in (EXACT_VALUE_MAX_BITS, prec - 80))
+    return ln2, cap, limit
 
 
 def _exact_value_at(L, prec: int) -> int | None:
     """exact_value of the raw mpf L, rounded as at ``prec`` bits."""
-    ln2, cap = _log2_and_cap(prec)
+    ln2, cap, _ = _log2_and_cap(prec)
     if mpf_gt(L, cap):
         return None
     wp = max(to_int(mpf_div(L, ln2, prec, round_nearest)) + 80, prec)
@@ -210,11 +207,25 @@ def _exact_value_at(L, prec: int) -> int | None:
     s = max(32, -e)
     if c >= 2 and ((c << s) - (man << (e + s)) + (1 << (s - 32))) * (c + 1) < c << s:
         return c
-    with mp.workprec(wp):
-        log_value = mp.make_mpf(L)
-        if c >= 1 and mp.log(c) - log_value > _floor_slack(wp) + mp.log1p(mp.mpf(1) / c):
+    if c >= 1:
+        # mp.log1p(x) at wp bits: 1 + x at 2wp + 20 bits, its log at wp + 10, rounded to wp
+        x = mpf_div(fone, from_int(c), wp, round_nearest)
+        log1p = mpf_log(mpf_add(fone, x, 2 * wp + 20, round_nearest), wp + 10, round_nearest)
+        slack = mpf_add(from_str("1e-20", wp, round_nearest), mpf_pos(log1p, wp, round_nearest), wp, round_nearest)
+        if mpf_gt(mpf_sub(mpf_log(from_int(c), wp, round_nearest), L, wp, round_nearest), slack):
             c = to_int(v, round_floor)
     return c
+
+
+def _exact_value(L, prec: int, report_at) -> int | None:
+    """exact_value of a bound whose log is the raw mpf L at ``prec`` bits and
+    whose report at q bits is report_at(q).  Below the cap |L| < 2^12, so L at
+    q bits moves e^L by about e^L 2^(15-q): under log2(e^L) + 80 bits, exact_value
+    comes from the report 16 bits above that, which asks for no third."""
+    ln2, cap, limit = _log2_and_cap(prec)
+    if mpf_gt(L, limit) and not mpf_gt(L, cap):
+        return report_at(to_int(mpf_div(L, ln2, prec, round_nearest)) + 96).exact_value
+    return _exact_value_at(L, prec)
 
 
 def f_of_K(fp: FieldParams, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -225,16 +236,15 @@ def f_of_K(fp: FieldParams, precision_bits: int = DEFAULT_PRECISION_BITS):
     F_K_MAX_DEGREE or F_K_MAX_EXPONENT raise BudgetExceededError.
     """
     _check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        nk = fp.n_K
-        if fp.has_exceptional_zero == "no":
-            return mp.mpf(nk * nk)
-        logd = mp.mpf(fp.log_abs_disc)
-        if nk > F_K_MAX_DEGREE or logd > F_K_MAX_EXPONENT * nk:
-            raise BudgetExceededError(f"f(K) capped at n_K <= {F_K_MAX_DEGREE}, log|d_K|/n_K <= {F_K_MAX_EXPONENT:.0e}")
-        a = factorial(nk) * logd
-        b = mp.exp(logd / nk)
-        return (a if a > b else b) + nk * nk
+    p, nk = precision_bits, fp.n_K
+    if fp.has_exceptional_zero == "no":
+        return mp.mpf(nk * nk, prec=p)
+    logd = mp.mpf(fp.log_abs_disc, prec=p)
+    if nk > F_K_MAX_DEGREE or logd > F_K_MAX_EXPONENT * nk:
+        raise BudgetExceededError(f"f(K) capped at n_K <= {F_K_MAX_DEGREE}, log|d_K|/n_K <= {F_K_MAX_EXPONENT:.0e}")
+    a = mp.fmul(factorial(nk), logd, prec=p)
+    b = mp.exp(mp.fdiv(logd, nk, prec=p), prec=p)
+    return mp.fadd(a if a > b else b, nk * nk, prec=p)
 
 
 def _check_primes(ps) -> list[int]:
@@ -245,6 +255,10 @@ def _check_primes(ps) -> list[int]:
     return out
 
 
+def _sum_of_logs(ps, p: int):
+    return mp.make_mpf(mpf_sum([mpf_log(from_int(q), p, round_nearest) for q in ps], p, round_nearest))
+
+
 def hensel_log_disc(n_L: int, ramified_primes, precision_bits: int = DEFAULT_PRECISION_BITS):
     """Upper bound for log d_L from the degree and the ramified primes:
     (n_L - 1) * sum log p + n_L * log(n_L) * #primes."""
@@ -252,10 +266,9 @@ def hensel_log_disc(n_L: int, ramified_primes, precision_bits: int = DEFAULT_PRE
     if n_L < 1:
         raise ValueError("degree must be >= 1")
     ps = _check_primes(ramified_primes)
-    with mp.workprec(precision_bits):
-        total = (n_L - 1) * mp.fsum(mp.log(p) for p in ps)
-        total += n_L * mp.log(n_L) * len(ps)
-        return total
+    p = precision_bits
+    total = mp.fmul(n_L - 1, _sum_of_logs(ps, p), prec=p)
+    return mp.fadd(total, mp.fmul(mp.fmul(n_L, mp.ln(n_L, prec=p), prec=p), len(ps), prec=p), prec=p)
 
 
 def hensel_galois_log_disc(
@@ -274,15 +287,15 @@ def hensel_galois_log_disc(
         raise ValueError(f"n_K = {n_K} does not divide n_L = {n_L}")
     FieldParams(n_K, log_d_K)  # raises on a negative log |d_K|, or a nonzero one at n_K = 1
     ps = _check_primes(ramified_primes_over_K)
-    with mp.workprec(precision_bits):
-        total = (n_L - n_K) * mp.fsum(mp.log(p) for p in ps)
-        total += n_L * (mp.log(n_L) - mp.log(n_K))
-        total += mp.mpf(n_L) / n_K * mp.mpf(log_d_K)
-        return total
+    p = precision_bits
+    total = mp.fmul(n_L - n_K, _sum_of_logs(ps, p), prec=p)
+    total = mp.fadd(total, mp.fmul(n_L, mp.fsub(mp.ln(n_L, prec=p), mp.ln(n_K, prec=p), prec=p), prec=p), prec=p)
+    ratio = mp.fdiv(mp.mpf(n_L, prec=p), n_K, prec=p)
+    return mp.fadd(total, mp.fmul(ratio, mp.mpf(log_d_K, prec=p), prec=p), prec=p)
 
 
 @lru_cache(maxsize=64, typed=True)
-def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, precision_bits: int):
+def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, p: int):
     """The part of least_nonsplit_bound that does not depend on d_L: c f(K),
     5/(2(n-1)) and log 55 as raw mpfs, and the echoed inputs before and after
     log |d_L|.
@@ -290,21 +303,21 @@ def _nonsplit_invariants(fp: FieldParams, field_types, c, n: int, precision_bits
     ``field_types`` joins the key because FieldParams equality ignores the
     types of its fields and the echoed strings do not (2 == 2.0, "2" != "2.0").
     """
-    with mp.workprec(precision_bits):
-        if mp.mpf(c) <= 0:
-            raise ValueError("c must be positive")
-        fk = f_of_K(fp, precision_bits)
-        log_const = mp.log(55)
-        tail = (
-            ("n", str(n)),
-            ("c", format_real(mp.mpf(c))),
-            ("constants_pinned", "no"),  # c is an unspecified absolute constant
-            ("f_K", format_real(fk)),
-            ("branch_constant_log", format_real(log_const)),
-        )
-        c_fk = mp.mpf(c) * fk
-        slope = mp.mpf(5) / (2 * (n - 1))
-        return c_fk._mpf_, slope._mpf_, log_const._mpf_, tuple(_fp_inputs(fp)), tail
+    c = mp.mpf(c, prec=p)
+    if c <= 0:
+        raise ValueError("c must be positive")
+    fk = f_of_K(fp, p)
+    log_const = mp.ln(55, prec=p)
+    tail = (
+        ("n", str(n)),
+        ("c", format_real(c)),
+        ("constants_pinned", "no"),  # c is an unspecified absolute constant
+        ("f_K", format_real(fk)),
+        ("branch_constant_log", format_real(log_const)),
+    )
+    c_fk = mp.fmul(c, fk, prec=p)
+    slope = mp.fdiv(5, 2 * (n - 1), prec=p)
+    return c_fk._mpf_, slope._mpf_, log_const._mpf_, tuple(_fp_inputs(fp, p)), tail
 
 
 def least_nonsplit_bound(
@@ -345,26 +358,27 @@ def least_nonsplit_bound(
         name="least_nonsplit_bound",
         inputs=inputs,
         log_value=mp.make_mpf(log_value),
-        exact_value=_exact_value_at(log_value, prec),
+        exact_value=_exact_value(log_value, prec, lambda q: least_nonsplit_bound(fp, log_d_L, n, c, q)),
     )
 
 
-def _log_B(N, fp: FieldParams, m: int, d: int, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """log of e^{f(K)} N^{m n_K d^2} (f(K) + n_K log N)^{m n_K d^2 + 1}.
+def _log_B(N, fp: FieldParams, m: int, d: int, p: int):
+    """log of e^{f(K)} N^{m n_K d^2} (f(K) + n_K log N)^{m n_K d^2 + 1}, and f(K).
 
     N may be a positive real: the formula only uses N through log N.  The
     final log factor is clamped below at 0 when its argument drops under 1,
     which keeps the bound a total function for pathological parameters.
     """
-    NN = mp.mpf(N)
+    NN = mp.mpf(N, prec=p)
     if NN <= 0:
         raise ValueError("conductor argument must be positive")
-    fk = f_of_K(fp, precision_bits)
+    fk = f_of_K(fp, p)
     exponent = m * fp.n_K * d * d
-    logN = mp.log(NN)
-    inner = fk + fp.n_K * logN
-    log_inner = mp.log(inner) if inner > 1 else mp.mpf(0)
-    return fk + exponent * logN + (exponent + 1) * log_inner, fk
+    logN = mp.ln(NN, prec=p)
+    inner = mp.fadd(fk, mp.fmul(fp.n_K, logN, prec=p), prec=p)
+    log_inner = mp.ln(inner, prec=p) if inner > 1 else mp.zero
+    log_value = mp.fadd(fk, mp.fmul(exponent, logN, prec=p), prec=p)
+    return mp.fadd(log_value, mp.fmul(exponent + 1, log_inner, prec=p), prec=p), fk
 
 
 def bound_B(
@@ -386,19 +400,19 @@ def bound_B(
     _check_precision(precision_bits)
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    with mp.workprec(precision_bits):
-        log_value, fk = _log_B(N, fp, m, d, precision_bits)
-        inputs = [
-            ("N", format_real(mp.mpf(N))),
-            ("m", str(m)),
-            ("d", str(d)),
-        ] + _fp_inputs(fp) + [("f_K", format_real(fk))]
-        return BoundReport(
-            name="bound_B",
-            inputs=tuple(inputs),
-            log_value=log_value,
-            exact_value=_exact_value_at(log_value._mpf_, precision_bits),
-        )
+    p = precision_bits
+    log_value, fk = _log_B(N, fp, m, d, p)
+    inputs = [
+        ("N", format_real(mp.mpf(N, prec=p))),
+        ("m", str(m)),
+        ("d", str(d)),
+    ] + _fp_inputs(fp, p) + [("f_K", format_real(fk))]
+    return BoundReport(
+        name="bound_B",
+        inputs=tuple(inputs),
+        log_value=log_value,
+        exact_value=_exact_value(log_value._mpf_, p, lambda q: bound_B(N, fp, m, d, q)),
+    )
 
 
 def bound_C(
@@ -424,32 +438,30 @@ def bound_C(
         raise ValueError("dimension must be >= 1")
     if d > C_MAX_DIMENSION:
         raise BudgetExceededError(f"C capped at d <= {C_MAX_DIMENSION}")
-    with mp.workprec(precision_bits):
-        ldf = mp.mpf(log_d_F)
-        if ldf <= 0:
-            raise ValueError("log |d_F| must be positive")
-        if mp.mpf(c) <= 0:
-            raise ValueError("c must be positive")
-        if mp.mpf(c1) <= 0:
-            raise ValueError("c1 must be positive")
-        n_prime = mp.mpf(2 ** (4 * d)) * factorial(2 * d + 1) * mp.mpf(N) * ldf
-        log_b, fk = _log_B(n_prime, fp, factorial(2 * d), 2 ** (2 * d), precision_bits)
-        log_value = mp.log(mp.mpf(c1)) + mp.mpf(c) * log_b
-        inputs = [
-            ("N", format_real(mp.mpf(N))),
-            ("d", str(d)),
-            ("log_abs_disc_F", format_real(ldf)),
-            ("c", format_real(mp.mpf(c))),
-            ("c1", format_real(mp.mpf(c1))),
-            ("constants_pinned", "no"),  # c, c1 are unspecified absolute constants
-            ("B_first_argument", format_real(n_prime)),
-            ("B_m", str(factorial(2 * d))),
-            ("B_d", str(2 ** (2 * d))),
-            ("log_B", format_real(log_b)),
-        ] + _fp_inputs(fp) + [("f_K", format_real(fk))]
-        return BoundReport(
-            name="bound_C",
-            inputs=tuple(inputs),
-            log_value=log_value,
-            exact_value=_exact_value_at(log_value._mpf_, precision_bits),
-        )
+    p = precision_bits
+    ldf, c_p, c1_p = (mp.mpf(x, prec=p) for x in (log_d_F, c, c1))
+    for value, name in ((ldf, "log |d_F|"), (c_p, "c"), (c1_p, "c1")):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+    n_prime = mp.fmul(2 ** (4 * d), factorial(2 * d + 1), prec=p)
+    n_prime = mp.fmul(mp.fmul(n_prime, mp.mpf(N, prec=p), prec=p), ldf, prec=p)
+    log_b, fk = _log_B(n_prime, fp, factorial(2 * d), 2 ** (2 * d), p)
+    log_value = mp.fadd(mp.ln(c1_p, prec=p), mp.fmul(c_p, log_b, prec=p), prec=p)
+    inputs = [
+        ("N", format_real(mp.mpf(N, prec=p))),
+        ("d", str(d)),
+        ("log_abs_disc_F", format_real(ldf)),
+        ("c", format_real(c_p)),
+        ("c1", format_real(c1_p)),
+        ("constants_pinned", "no"),  # c, c1 are unspecified absolute constants
+        ("B_first_argument", format_real(n_prime)),
+        ("B_m", str(factorial(2 * d))),
+        ("B_d", str(2 ** (2 * d))),
+        ("log_B", format_real(log_b)),
+    ] + _fp_inputs(fp, p) + [("f_K", format_real(fk))]
+    return BoundReport(
+        name="bound_C",
+        inputs=tuple(inputs),
+        log_value=log_value,
+        exact_value=_exact_value(log_value._mpf_, p, lambda q: bound_C(N, d, log_d_F, fp, c, c1, q)),
+    )

@@ -150,9 +150,10 @@ def _verify_tate(path: str) -> dict:
 #
 # Each report row takes the bounds module from cmd_bounds, which imports it.
 
-def _real(bounds, args, name: str):
-    """The real number given as ``--name``, read at the working precision."""
-    return bounds.parse_real(getattr(args, name), "--" + name.replace("_", "-"), args.precision)
+def _real(bounds, args, name: str) -> str:
+    """The text of ``--name`` once it reads as a finite real: bounds read it at each precision they use."""
+    bounds.parse_real(getattr(args, name), "--" + name.replace("_", "-"), args.precision)
+    return getattr(args, name)
 
 
 def _field_params(bounds, args):
@@ -214,19 +215,11 @@ def _bounds_B(bounds, args) -> dict:
 
 def _bounds_C(bounds, args) -> dict:
     fp = _field_params(bounds, args)
-    c, c1 = _real(bounds, args, "c"), _real(bounds, args, "c1")
-    for flag, value in (("c", c), ("c1", c1)):
-        if value <= 0:
+    for flag in ("c", "c1"):
+        if bounds.parse_real(getattr(args, flag), "--" + flag, args.precision) <= 0:
             raise ValueError(f"--{flag} must be positive, got {getattr(args, flag)!r}")
-    return bounds.bound_C(
-        _real(bounds, args, "N"),
-        args.d,
-        _real(bounds, args, "log_df"),
-        fp,
-        c,
-        c1,
-        precision_bits=args.precision,
-    ).to_record()
+    N, log_df = _real(bounds, args, "N"), _real(bounds, args, "log_df")
+    return bounds.bound_C(N, args.d, log_df, fp, args.c, args.c1, precision_bits=args.precision).to_record()
 
 
 _FIELD_INPUTS = ("nk", "log_dk", "exceptional")

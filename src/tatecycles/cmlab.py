@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, lcm, prod
 
-import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_le, mpf_log, round_nearest
+from mpmath.libmp import from_int, mpf_ei, mpf_le, mpf_ln2, mpf_log, mpf_pos, mpf_sub, round_nearest, to_float
 
 from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, least_nonsplit_bound
 from .polycore import BudgetExceededError, IntPoly, InternalError, factorization, is_prime
@@ -632,6 +631,12 @@ def least_nonsplit_search(D: int, c=1) -> NonSplitResult:
     return NonSplitResult(D=D, found_prime=found, bound=report, satisfied=satisfied)
 
 
+def _li_offset(x: int) -> float:
+    """li(x) - li(2) as mpmath.li(x, offset=True) gives it at 53 bits: Ei(ln x) - Ei(ln 2) at 63, rounded to 53."""
+    ei = [mpf_ei(t, 63, round_nearest) for t in (mpf_log(from_int(x), 63, round_nearest), mpf_ln2(63, round_nearest))]
+    return to_float(mpf_pos(mpf_sub(ei[0], ei[1], 63, round_nearest), 53, round_nearest))
+
+
 @dataclass(frozen=True)
 class PiKResult:
     D: int
@@ -677,6 +682,6 @@ def pi_K_count(D: int, x: int) -> PiKResult:
         chis = [kronecker_symbol(D, p) for p in primes]
     small = bisect_right(primes, isqrt(x))
     count = 2 * chis.count(1) + chis.count(0) + chis[:small].count(-1)
-    li = float(mpmath.li(x, offset=True)) if x >= 2 else float("-inf")
+    li = _li_offset(x) if x >= 2 else float("-inf")
     ratio = count / li if li > 0 else None
     return PiKResult(D=D, x=x, count=count, li_x=li, ratio=ratio)

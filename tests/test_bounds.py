@@ -1,6 +1,8 @@
 """Effective-bound calculators against independent high-precision evaluation."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from math import factorial
 
@@ -22,9 +24,11 @@ from tatecycles.bounds import (
     least_nonsplit_bound,
     bound_B,
     bound_C,
+    format_real,
     parse_real,
 )
-from tatecycles.bounds import _exact_value_at
+from tatecycles.bounds import _exact_value_at, _nonsplit_invariants
+from tatecycles.cmlab import least_nonsplit_search, pi_K_count
 from tatecycles.polycore import BudgetExceededError
 
 
@@ -485,7 +489,13 @@ def test_least_nonsplit_bound_cache_is_per_precision():
 
 def _least_nonsplit_bound_reference(fp, log_d_L, n, c, precision_bits):
     """The bound computed with mp operations under workprec, with the
-    logarithmic floor test for exact_value; returns (record, inputs, log_value)."""
+    logarithmic floor test for exact_value; returns (record, inputs, log_value).
+
+    exact_value is taken from the same formula at 4096 + 200 bits, where the
+    log's rounding error cannot move the ceiling of any value below the cap."""
+    with mp.workprec(EXACT_VALUE_MAX_BITS + 200):
+        settled = mp.mpf(c) * f_of_K(fp, mp.prec) + mp.mpf(5) / (2 * (n - 1)) * mp.mpf(log_d_L)
+        exact = _exact_value_reference(max(settled, mp.log(55)))
     with mp.workprec(precision_bits):
         fk = f_of_K(fp, precision_bits)
         ldl = mp.mpf(log_d_L)
@@ -506,7 +516,6 @@ def _least_nonsplit_bound_reference(fp, log_d_L, n, c, precision_bits):
             ("branch_formula_log", mp.nstr(log_formula, 30)),
             ("active_branch", active),
         )
-        exact = _exact_value_reference(log_value)
         record = {
             "name": "least_nonsplit_bound",
             "inputs": dict(inputs),
@@ -557,3 +566,72 @@ def test_least_nonsplit_bound_matches_mp_context_reference(fp, log_d_L, n, c, pr
         assert rep.to_record() == want
         assert rep.inputs == inputs
         assert rep.log_value == log_value
+
+
+# ---------------------------------------------------------------------------
+# exact_value at any precision, and no process-wide precision
+
+_DECIMAL = st.builds(lambda a, b: f"{a}.{b:04d}", st.integers(0, 2000), st.integers(0, 9999))
+_POSITIVE = _DECIMAL.filter(lambda t: float(t) > 0)
+_BOUNDS = st.one_of(
+    st.builds(
+        partial,
+        st.just(least_nonsplit_bound),
+        _FIELDS,
+        _LOG_D_L | _DECIMAL,
+        st.integers(2, 6),
+        st.sampled_from([1, "0.1", 2.5]),
+    ),
+    st.builds(partial, st.just(bound_B), st.integers(1, 10**6) | _POSITIVE, _FIELDS, st.integers(1, 3), st.integers(1, 3)),
+    st.builds(
+        partial,
+        st.just(bound_C),
+        st.integers(1, 1000) | _POSITIVE,
+        st.just(1),
+        _POSITIVE,
+        _FIELDS,
+        st.sampled_from([1, "0.5", "0.05"]),
+        st.sampled_from([1, 7, "1e-5"]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bound=_BOUNDS, prec=st.sampled_from([100, 256, 512, 1024]))
+def test_exact_value_does_not_move_when_the_precision_doubles(bound, prec):
+    # the log is known to prec bits only; from about 2^(prec - 16) that used
+    # to leave the ceiling's low digits to rounding noise
+    assert bound(precision_bits=prec).exact_value == bound(precision_bits=2 * prec).exact_value
+
+
+def test_bounds_from_threads_match_serial():
+    # nothing reads or sets mp.prec: four threads at mixed precisions, switching
+    # as often as the interpreter allows, give the serial reports
+    field = FieldParams(3, "7.5", "yes")
+    jobs = [
+        lambda: least_nonsplit_search(-4).bound.to_record(),
+        lambda: least_nonsplit_search(-163, c="0.5").bound.to_record(),
+        lambda: pi_K_count(-4, 10**4).to_record(),
+        lambda: pi_K_count(5, 3000).to_record(),
+    ]
+    for prec in (100, 160, 256, 512, 1024):
+        jobs += [
+            lambda p=prec: format_real(f_of_K(field, p)),
+            lambda p=prec: format_real(hensel_log_disc(12, [2, 3, 5, 7], p)),
+            lambda p=prec: format_real(hensel_galois_log_disc(12, 3, "4.25", [2, 3], p)),
+            lambda p=prec: bound_B("2.5", FieldParams(2, "1.5"), 2, 2, p).to_record(),
+            lambda p=prec: bound_C(3, 1, "1.3863", RATIONALS, "0.5", 2, p).to_record(),
+            lambda p=prec: least_nonsplit_bound(field, "12.75", 3, "0.1", p).to_record(),
+        ]
+    serial = [job() for job in jobs]
+    _nonsplit_invariants.cache_clear()  # the threads fill it again
+    shifts = (0, 9, 17, 26)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(lambda s=s: [job() for job in jobs[s:] + jobs[:s]]) for s in shifts]
+            for s, run in zip(shifts, runs):
+                assert run.result(timeout=120) == serial[s:] + serial[:s]
+    finally:
+        sys.setswitchinterval(interval)

@@ -14,6 +14,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from tatecycles import bounds, cli
 from tatecycles.polycore import IntPoly
@@ -288,6 +289,31 @@ def test_bounds_reports_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, "bounds", *argv, "--json")
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "fk", "--nk", "2", "--log-dk", "1.3862943611198906", "--exceptional", "yes"],
+        ["bounds", "hensel", "--nl", "4", "--primes", "2,3,5"],
+        ["bounds", "hensel-galois", "--nl", "4", "--nk", "2", "--log-dk", "1.5", "--primes", "3,7"],
+        ["bounds", "nonsplit", "--nk", "2", "--log-dk", "2.5", "--log-dl", "10.75", "--n", "3", "--c", "0.1"],
+        ["bounds", "B", "--N", "37.5", "--nk", "2", "--log-dk", "1.1", "--m", "2", "--d", "2", "--precision", "128"],
+        ["bounds", "C", "--N", "1", "--d", "1", "--log-df", "1.3863", "--nk", "1"],
+        ["cm", "nonsplit", "--disc", "-4", "--c", "0.3"],
+        ["cm", "pik", "--disc", "-4", "--x", "10000"],
+    ],
+)
+def test_reports_ignore_the_callers_mpmath_precision(capsys, argv):
+    # every bound names the precision of each operation, so mp.prec, set
+    # far below or far above the report's precision, moves nothing
+    outs = []
+    for caller_prec in (20, 3000):
+        with mp.workprec(caller_prec):
+            code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1] == run_cli(capsys, *argv, "--json")[1]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import mp
 
 from oracles import ap_charsum
@@ -21,6 +22,7 @@ from tatecycles.cmlab import (
     _ascending_primes,
     _cm_trace,
     _exe_weil,
+    _li_offset,
     _pointcount,
     ap_cm,
     ap_pointcount,
@@ -469,6 +471,15 @@ def test_pi_K_gaussian_10():
     # one ideal of norm 2, two of norm 5, one of norm 9
     res = pi_K_count(-4, 10)
     assert res.count == 4
+
+
+def test_pi_K_li_matches_mpmath_li_at_double_precision():
+    # the libmp steps behind li_x against mpmath.li at 53 bits
+    xs = list(range(2, 300)) + [10**k + j for k in range(3, 9) for j in (-1, 0, 1, 7)]
+    xs += random.Random(8).sample(range(2, 10**8), 200)
+    with mp.workprec(53):
+        want = [float(mpmath.li(x, offset=True)) for x in xs]
+    assert [_li_offset(x) for x in xs] == want
 
 
 def test_pi_K_x1():

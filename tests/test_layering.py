@@ -1,5 +1,6 @@
-"""Which module may load what: mpmath stays out of the exact tate path, and the
-names the benchmark's tracer wraps and the modules export stay bound."""
+"""Which module may load what: mpmath stays out of the exact tate path and
+nothing in src/ changes its process-wide precision, and the names the
+benchmark's tracer wraps and the modules export stay bound."""
 
 import ast
 import importlib
@@ -52,6 +53,56 @@ def _imports_mpmath(path: pathlib.Path) -> bool:
 def test_only_bounds_and_cmlab_import_mpmath():
     users = sorted(p.name for p in (SRC / "tatecycles").glob("*.py") if _imports_mpmath(p))
     assert users == ["bounds.py", "cmlab.py"]
+
+
+# context managers and attributes that change mpmath's process-wide precision,
+# and functions that raise it while they run
+_GLOBAL_PRECISION = {"workprec", "workdps", "extraprec", "extradps"}
+_RAISES_PRECISION = {"li", "log1p"}
+
+
+def _global_precision_uses(source: str) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _GLOBAL_PRECISION:
+            found.append((node.lineno, node.attr))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            found += [(node.lineno, a.name) for a in node.names if a.name in _GLOBAL_PRECISION | _RAISES_PRECISION]
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [(node.lineno, "." + t.attr) for t in targets if isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")]
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _RAISES_PRECISION
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("mp", "mpmath")
+        ):
+            found.append((node.lineno, node.func.attr))
+    return found
+
+
+def test_global_precision_scan_finds_each_form():
+    source = (
+        "from mpmath import mp, workdps\n"
+        "with mp.workprec(9): pass\n"
+        "mp.extradps(3)\n"
+        "mp.prec = 80\n"
+        "mp.dps += 5\n"
+        "mpmath.li(10)\n"
+        "mp.log1p(x)\n"
+    )
+    assert sorted(line for line, _ in _global_precision_uses(source)) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_src_never_changes_the_process_wide_mpmath_precision():
+    # every bound names the precision of each operation; a workprec block or
+    # a function that raises mp.prec while it runs would make reports depend
+    # on the caller's precision and on other threads
+    found = {
+        path.name: _global_precision_uses(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "tatecycles").glob("*.py"))
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 def test_bench_tracer_names_resolve():
