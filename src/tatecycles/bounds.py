@@ -22,7 +22,6 @@ and their echoed strings.  ln 2 and the 4096-bit cap are cached per precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, factorial, log2
 
@@ -47,7 +46,7 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .polycore import BudgetExceededError, is_prime
+from .polycore import BudgetExceededError, Record, is_prime
 
 __all__ = [
     "FieldParams",
@@ -86,24 +85,29 @@ C_MAX_DIMENSION = 779
 _EXCEPTIONAL_FLAGS = ("yes", "no", "unknown")
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(Record):
     """Degree and log-discriminant of a number field K, with a three-valued
     exceptional-zero flag ("unknown" is treated as "yes" for upper bounds)."""
 
-    n_K: int
-    log_abs_disc: object = 0  # int/float/mpf, natural log of |d_K|
-    has_exceptional_zero: str = "no"
+    __slots__ = ("n_K", "log_abs_disc", "has_exceptional_zero")
 
-    def __post_init__(self):
-        if self.n_K < 1:
+    def __init__(self, n_K: int, log_abs_disc=0, has_exceptional_zero: str = "no"):
+        if n_K < 1:
             raise ValueError("field degree must be >= 1")
-        if self.has_exceptional_zero not in _EXCEPTIONAL_FLAGS:
+        if has_exceptional_zero not in _EXCEPTIONAL_FLAGS:
             raise ValueError(f"has_exceptional_zero must be one of {_EXCEPTIONAL_FLAGS}")
-        if mp.mpf(self.log_abs_disc, prec=DEFAULT_PRECISION_BITS) < 0:  # any precision keeps the sign
+        if mp.mpf(log_abs_disc, prec=DEFAULT_PRECISION_BITS) < 0:  # any precision keeps the sign
             raise ValueError("log |d_K| must be >= 0")
-        if self.n_K == 1 and mp.mpf(self.log_abs_disc, prec=DEFAULT_PRECISION_BITS) != 0:
+        if n_K == 1 and mp.mpf(log_abs_disc, prec=DEFAULT_PRECISION_BITS) != 0:
             raise ValueError("the rationals have |d_K| = 1, so log |d_K| must be 0")
+        object.__setattr__(self, "n_K", n_K)
+        object.__setattr__(self, "log_abs_disc", log_abs_disc)  # int/float/mpf, natural log of |d_K|
+        object.__setattr__(self, "has_exceptional_zero", has_exceptional_zero)
+
+    def __hash__(self):
+        # hashed on every least_nonsplit_bound call; the inline tuple takes
+        # about 60% of the time of Record's attrgetter on CPython 3.11
+        return hash((self.n_K, self.log_abs_disc, self.has_exceptional_zero))
 
 
 RATIONALS = FieldParams(1, 0, "no")
@@ -142,8 +146,7 @@ def format_real(value) -> str:
     return mp.nstr(value, LOG_VALUE_DIGITS)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Log-space value of a named bound with every input echoed.
 
     ``exact_value`` is the integer ceiling of the bound when it fits in 4096
@@ -152,13 +155,17 @@ class BoundReport:
     to a binary fraction, the ceiling c >= 2 is certified by the exact integer
     comparison (c - v + 2^-32)(c + 1) < c; only where it fails is the
     logarithmic floor test run.  L is evaluated at no fewer than log2(v) + 80
-    bits, so only ``log_value`` and the echoed inputs depend on the precision.
+    bits, plus the bits by which the bound amplifies rounding error, so only
+    ``log_value`` and the echoed inputs depend on the precision.
     """
 
-    name: str
-    inputs: tuple[tuple[str, str], ...]
-    log_value: object  # mpf
-    exact_value: int | None = None
+    __slots__ = ("name", "inputs", "log_value", "exact_value")
+
+    def __init__(self, name: str, inputs: tuple[tuple[str, str], ...], log_value, exact_value: int | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "log_value", log_value)  # mpf
+        object.__setattr__(self, "exact_value", exact_value)
 
     def to_record(self) -> dict:
         return {
@@ -178,11 +185,12 @@ def _fp_inputs(fp: FieldParams, prec: int) -> list[tuple[str, str]]:
 
 
 @lru_cache(maxsize=16)
-def _log2_and_cap(prec: int):
-    """ln 2, the 4096-bit cap on log_value and (prec - 80) ln 2, the log above
-    which exact_value needs more than ``prec`` bits, as raw mpfs at ``prec`` bits."""
+def _log2_and_cap(prec: int, bits: int = 0):
+    """ln 2, the 4096-bit cap on log_value and (prec - 80 - bits) ln 2, the log
+    above which exact_value needs more than ``prec`` bits when the evaluation
+    amplifies rounding error by a ``bits``-bit factor, as raw mpfs at ``prec`` bits."""
     ln2 = mpf_log(from_int(2), prec, round_nearest)
-    cap, limit = (mpf_mul(from_int(bits), ln2, prec, round_nearest) for bits in (EXACT_VALUE_MAX_BITS, prec - 80))
+    cap, limit = (mpf_mul(from_int(b), ln2, prec, round_nearest) for b in (EXACT_VALUE_MAX_BITS, prec - 80 - bits))
     return ln2, cap, limit
 
 
@@ -217,14 +225,18 @@ def _exact_value_at(L, prec: int) -> int | None:
     return c
 
 
-def _exact_value(L, prec: int, report_at) -> int | None:
+def _exact_value(L, prec: int, report_at, bits: int = 0) -> int | None:
     """exact_value of a bound whose log is the raw mpf L at ``prec`` bits and
     whose report at q bits is report_at(q).  Below the cap |L| < 2^12, so L at
-    q bits moves e^L by about e^L 2^(15-q): under log2(e^L) + 80 bits, exact_value
-    comes from the report 16 bits above that, which asks for no third."""
-    ln2, cap, limit = _log2_and_cap(prec)
+    q bits moves e^L by about e^L 2^(15-q), times the factor below 2^bits by
+    which the evaluation amplifies its inputs' rounding error: under
+    log2(e^L) + 80 + bits bits, exact_value comes from the report 16 bits above
+    that (at most MAX_PRECISION_BITS), which asks for no third."""
+    ln2, cap, limit = _log2_and_cap(prec, bits)
     if mpf_gt(L, limit) and not mpf_gt(L, cap):
-        return report_at(to_int(mpf_div(L, ln2, prec, round_nearest)) + 96).exact_value
+        q = min(to_int(mpf_div(L, ln2, prec, round_nearest)) + 96 + bits, MAX_PRECISION_BITS)
+        if q > prec:
+            return report_at(q).exact_value
     return _exact_value_at(L, prec)
 
 
@@ -363,7 +375,9 @@ def least_nonsplit_bound(
 
 
 def _log_B(N, fp: FieldParams, m: int, d: int, p: int):
-    """log of e^{f(K)} N^{m n_K d^2} (f(K) + n_K log N)^{m n_K d^2 + 1}, and f(K).
+    """log of e^{f(K)} N^{m n_K d^2} (f(K) + n_K log N)^{m n_K d^2 + 1}, f(K),
+    and the bit length of (E + 1)(n_K + 1), E = m n_K d^2: a bound on the factor
+    by which the log amplifies N's relative rounding error.
 
     N may be a positive real: the formula only uses N through log N.  The
     final log factor is clamped below at 0 when its argument drops under 1,
@@ -378,7 +392,8 @@ def _log_B(N, fp: FieldParams, m: int, d: int, p: int):
     inner = mp.fadd(fk, mp.fmul(fp.n_K, logN, prec=p), prec=p)
     log_inner = mp.ln(inner, prec=p) if inner > 1 else mp.zero
     log_value = mp.fadd(fk, mp.fmul(exponent, logN, prec=p), prec=p)
-    return mp.fadd(log_value, mp.fmul(exponent + 1, log_inner, prec=p), prec=p), fk
+    bits = int((exponent + 1) * (fp.n_K + 1)).bit_length()
+    return mp.fadd(log_value, mp.fmul(exponent + 1, log_inner, prec=p), prec=p), fk, bits
 
 
 def bound_B(
@@ -401,7 +416,7 @@ def bound_B(
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
     p = precision_bits
-    log_value, fk = _log_B(N, fp, m, d, p)
+    log_value, fk, bits = _log_B(N, fp, m, d, p)
     inputs = [
         ("N", format_real(mp.mpf(N, prec=p))),
         ("m", str(m)),
@@ -411,7 +426,7 @@ def bound_B(
         name="bound_B",
         inputs=tuple(inputs),
         log_value=log_value,
-        exact_value=_exact_value(log_value._mpf_, p, lambda q: bound_B(N, fp, m, d, q)),
+        exact_value=_exact_value(log_value._mpf_, p, lambda q: bound_B(N, fp, m, d, q), bits),
     )
 
 
@@ -445,7 +460,8 @@ def bound_C(
             raise ValueError(f"{name} must be positive")
     n_prime = mp.fmul(2 ** (4 * d), factorial(2 * d + 1), prec=p)
     n_prime = mp.fmul(mp.fmul(n_prime, mp.mpf(N, prec=p), prec=p), ldf, prec=p)
-    log_b, fk = _log_B(n_prime, fp, factorial(2 * d), 2 ** (2 * d), p)
+    log_b, fk, bits = _log_B(n_prime, fp, factorial(2 * d), 2 ** (2 * d), p)
+    bits += max(0, mp.mag(c_p))  # c multiplies log B and its error
     log_value = mp.fadd(mp.ln(c1_p, prec=p), mp.fmul(c_p, log_b, prec=p), prec=p)
     inputs = [
         ("N", format_real(mp.mpf(N, prec=p))),
@@ -463,5 +479,5 @@ def bound_C(
         name="bound_C",
         inputs=tuple(inputs),
         log_value=log_value,
-        exact_value=_exact_value(log_value._mpf_, p, lambda q: bound_C(N, d, log_d_F, fp, c, c1, q)),
+        exact_value=_exact_value(log_value._mpf_, p, lambda q: bound_C(N, d, log_d_F, fp, c, c1, q), bits),
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, lcm, prod
 
@@ -34,7 +33,7 @@ from mpmath import mp
 from mpmath.libmp import from_int, mpf_ei, mpf_le, mpf_ln2, mpf_log, mpf_pos, mpf_sub, round_nearest, to_float
 
 from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, least_nonsplit_bound
-from .polycore import BudgetExceededError, IntPoly, InternalError, factorization, is_prime
+from .polycore import BudgetExceededError, IntPoly, InternalError, Record, factorization, is_prime
 from .tate import stable_tate_dim, tate_dim
 from .weil import WeilPoly
 
@@ -226,19 +225,19 @@ def _cornacchia(D: int, p: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # elliptic curves over Q and their traces
 
-@dataclass(frozen=True)
-class EllipticCurve:
+class EllipticCurve(Record):
     """Long Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
     with integer coefficients and nonzero discriminant."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    label: str = ""
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "label")
 
-    def __post_init__(self):
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, label: str = ""):
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a6", a6)
+        object.__setattr__(self, "label", label)
         if self.discriminant() == 0:
             raise ValueError("singular Weierstrass model (discriminant 0)")
 
@@ -457,17 +456,20 @@ def _cm_trace(D: int, p: int) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # surveys
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(Record):
     """One prime of an E x E survey."""
 
-    p: int
-    kronecker: int | None
-    a_p: int | None
-    reduction_type: str  # ordinary | supersingular | bad-or-excluded | bad
-    rank_base: int | None
-    rank_stable: int | None
-    stable_degree: int | None
+    __slots__ = ("p", "kronecker", "a_p", "reduction_type", "rank_base", "rank_stable", "stable_degree")
+
+    def __init__(self, p: int, kronecker, a_p, reduction_type: str, rank_base, rank_stable, stable_degree):
+        # every field but p and reduction_type may be None
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "kronecker", kronecker)
+        object.__setattr__(self, "a_p", a_p)
+        object.__setattr__(self, "reduction_type", reduction_type)  # ordinary | supersingular | bad-or-excluded | bad
+        object.__setattr__(self, "rank_base", rank_base)
+        object.__setattr__(self, "rank_stable", rank_stable)
+        object.__setattr__(self, "stable_degree", stable_degree)
 
     def to_record(self) -> dict:
         return {
@@ -481,11 +483,13 @@ class SurveyRow:
         }
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    p_max: int
-    counts: tuple[tuple[str, int], ...]
-    fractions: tuple[tuple[str, float], ...]
+class DensityReport(Record):
+    __slots__ = ("p_max", "counts", "fractions")
+
+    def __init__(self, p_max: int, counts: tuple[tuple[str, int], ...], fractions: tuple[tuple[str, float], ...]):
+        object.__setattr__(self, "p_max", p_max)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "fractions", fractions)
 
     def to_record(self) -> dict:
         return {
@@ -546,11 +550,13 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
     return rows, DensityReport(p_max=p_max, counts=counts, fractions=fractions)
 
 
-@dataclass(frozen=True)
-class NonCmReport:
-    rows: tuple[SurveyRow, ...]
-    all_rank_base_4: bool
-    exceptional_primes: tuple[int, ...]  # good primes with stable rank > 4
+class NonCmReport(Record):
+    __slots__ = ("rows", "all_rank_base_4", "exceptional_primes")
+
+    def __init__(self, rows: tuple[SurveyRow, ...], all_rank_base_4: bool, exceptional_primes: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "all_rank_base_4", all_rank_base_4)
+        object.__setattr__(self, "exceptional_primes", exceptional_primes)  # good primes with stable rank > 4
 
 
 def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
@@ -577,12 +583,14 @@ def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
 # ---------------------------------------------------------------------------
 # least non-split prime and prime-ideal counting
 
-@dataclass(frozen=True)
-class NonSplitResult:
-    D: int
-    found_prime: int
-    bound: BoundReport
-    satisfied: bool
+class NonSplitResult(Record):
+    __slots__ = ("D", "found_prime", "bound", "satisfied")
+
+    def __init__(self, D: int, found_prime: int, bound: BoundReport, satisfied: bool):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "found_prime", found_prime)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "satisfied", satisfied)
 
     @property
     def theoretical_log_bound(self):
@@ -637,13 +645,15 @@ def _li_offset(x: int) -> float:
     return to_float(mpf_pos(mpf_sub(ei[0], ei[1], 63, round_nearest), 53, round_nearest))
 
 
-@dataclass(frozen=True)
-class PiKResult:
-    D: int
-    x: int
-    count: int
-    li_x: float
-    ratio: float | None
+class PiKResult(Record):
+    __slots__ = ("D", "x", "count", "li_x", "ratio")
+
+    def __init__(self, D: int, x: int, count: int, li_x: float, ratio: float | None):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "li_x", li_x)
+        object.__setattr__(self, "ratio", ratio)
 
     def to_record(self) -> dict:
         return {

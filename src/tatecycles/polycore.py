@@ -8,16 +8,19 @@ arithmetic here is exact; nothing in this module touches floating point.
 The text format used throughout the package (and by the CLI) writes a
 polynomial as comma-separated coefficients from the constant term upward, so
 "5,-3,1" is T^2 - 3T + 5 and the empty string is the zero polynomial.
+
+``Record`` is the base of every immutable record in the package.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 
 __all__ = [
+    "Record",
     "IntPoly",
     "IntMatrix",
     "PolyFormatError",
@@ -45,8 +48,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
-class IntPoly:
+class Record:
+    """Immutable value whose fields are its ``__slots__``, each set once in
+    ``__init__`` with ``object.__setattr__``.  ``==`` and ``hash`` use the tuple
+    of those fields, or of those named by ``class K(Record, compare=(...))``,
+    and match only the same class; the repr reads ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] = ()):
+        cls._compared = attrgetter(*(compare or cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared(self) == other._compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which sets the slots
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class IntPoly(Record):
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of T^i.
 
     Values are immutable and safe to share between threads.
@@ -57,7 +93,7 @@ class IntPoly:
     True
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: "tuple[int, ...] | list[int]" = ()):
         cs = list(coeffs)
@@ -434,13 +470,10 @@ def _newton_coefficients(sums) -> list[int]:
 # ---------------------------------------------------------------------------
 # integer matrices
 
-@dataclass(frozen=True, init=False)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable row-major integer matrix."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 1 or cols < 1:

@@ -49,13 +49,13 @@ raises BudgetExceededError before any H^{2k} work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .polycore import (
     BudgetExceededError,
     IntPoly,
+    Record,
     carmichael_lambda,
     cyclotomic_multiplicity,
     euler_phi,
@@ -175,15 +175,17 @@ def _cyclotomic_scan(Q: IntPoly, s: int, witnesses: tuple[tuple[int, int], ...])
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class _Normalized:
+class _Normalized(Record, compare=("key",)):
     """Key of w's normalized polynomial u(T) = w(sqrt(q) T) / q^d (see the
     module docstring): d, then for i = d..2d-1 the numerator signed as c_i
     and the denominator of c_i^2 / q^(2d-i) in lowest terms.  Hashes and
     compares by ``key`` only and carries ``w`` for a cache miss."""
 
-    key: tuple[int, ...]
-    w: WeilPoly = field(compare=False)
+    __slots__ = ("key", "w")
+
+    def __init__(self, key: tuple[int, ...], w: WeilPoly):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "w", w)
 
 
 def _normalize(w: WeilPoly) -> _Normalized:
@@ -250,13 +252,15 @@ def stable_tate_dim(w: WeilPoly, k: int) -> tuple[int, int]:
     return _stable(_pairs(_normalize(w), k))
 
 
-@dataclass(frozen=True)
-class TateRow:
-    k: int
-    dims: tuple[tuple[int, int], ...]  # (n, dim), n = 1..n_report
-    stable_dim: int
-    min_stable_degree: int
-    degree_bound: int
+class TateRow(Record):
+    __slots__ = ("k", "dims", "stable_dim", "min_stable_degree", "degree_bound")
+
+    def __init__(self, k: int, dims: tuple, stable_dim: int, min_stable_degree: int, degree_bound: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "dims", dims)  # (n, dim) pairs, n = 1..n_report
+        object.__setattr__(self, "stable_dim", stable_dim)
+        object.__setattr__(self, "min_stable_degree", min_stable_degree)
+        object.__setattr__(self, "degree_bound", degree_bound)
 
 
 def tate_profile(w: WeilPoly, n_report: int | None = None) -> tuple[TateRow, ...]:

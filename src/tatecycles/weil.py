@@ -21,12 +21,12 @@ H^(2d-r); this module calls no matrix code.  The compound-matrix route in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .polycore import (
     IntPoly,
+    Record,
     _newton_coefficients,
     factorization,
     from_power_sums,
@@ -64,14 +64,16 @@ class WeilValidationError(ValueError):
         super().__init__(f"{reason}: {detail}")
 
 
-@dataclass(frozen=True)
-class WeilPoly:
+class WeilPoly(Record):
     """Validated Weil polynomial with field size q = p^e and dimension d."""
 
-    poly: IntPoly
-    q: int
-    p: int
-    d: int
+    __slots__ = ("poly", "q", "p", "d")
+
+    def __init__(self, poly: IntPoly, q: int, p: int, d: int):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
 
     def __repr__(self) -> str:
         return f"WeilPoly({self.poly.pretty()}, q={self.q}, d={self.d})"

@@ -17,6 +17,7 @@ from tatecycles.bounds import (
     F_K_MAX_EXPONENT,
     MAX_PRECISION_BITS,
     RATIONALS,
+    BoundReport,
     FieldParams,
     f_of_K,
     hensel_galois_log_disc,
@@ -27,7 +28,7 @@ from tatecycles.bounds import (
     format_real,
     parse_real,
 )
-from tatecycles.bounds import _exact_value_at, _nonsplit_invariants
+from tatecycles.bounds import _exact_value, _exact_value_at, _nonsplit_invariants
 from tatecycles.cmlab import least_nonsplit_search, pi_K_count
 from tatecycles.polycore import BudgetExceededError
 
@@ -602,6 +603,43 @@ def test_exact_value_does_not_move_when_the_precision_doubles(bound, prec):
     # the log is known to prec bits only; from about 2^(prec - 16) that used
     # to leave the ceiling's low digits to rounding noise
     assert bound(precision_bits=prec).exact_value == bound(precision_bits=2 * prec).exact_value
+
+
+def _c_argument(d: int, log_b: str) -> str:
+    """N for which bound_C(N, d, 1, RATIONALS, ...) has log B = log_b < 1: B's
+    first argument 2^(4d) (2d+1)! N is exp((log_b - 1) / E), E = (2d)! 2^(4d)."""
+    with mp.workprec(2000):
+        e = factorial(2 * d) * 2 ** (4 * d)
+        return mp.nstr(mp.exp((mp.mpf(log_b) - 1) / e) / (2 ** (4 * d) * factorial(2 * d + 1)), 90)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        partial(bound_B, "1.0000000000000000000000000001", RATIONALS, 10**30, 1),
+        partial(bound_C, _c_argument(10, "1.5e-28"), 10, 1, RATIONALS, 10**30),
+    ],
+    ids=["B-exponent", "C-exponent-and-c"],
+)
+def test_exact_value_survives_an_amplified_rounding_error(bound):
+    # log N's rounding error is multiplied by B's exponent m n_K d^2 (10^30;
+    # 20! 2^40 for C at d = 10) and then by C's c (10^30): at 256 bits the
+    # second evaluation must add those bits or the low digits are noise
+    values = {bound(precision_bits=prec).exact_value for prec in (256, 512, 1024)}
+    assert len(values) == 1 and None not in values
+
+
+def test_second_evaluation_stops_at_the_precision_cap():
+    # more amplification bits than MAX_PRECISION_BITS leaves room for: one
+    # more evaluation at the cap, which asks for no third
+    L, asked = mp.mpf(10)._mpf_, []
+
+    def report_at(q):
+        asked.append(q)
+        return BoundReport("bound", (), mp.mpf(10), _exact_value(L, q, report_at, 10**4))
+
+    assert _exact_value(L, 256, report_at, 10**4) == _exact_value_at(L, MAX_PRECISION_BITS) == 22027
+    assert asked == [MAX_PRECISION_BITS]
 
 
 def test_bounds_from_threads_match_serial():

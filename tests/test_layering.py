@@ -1,6 +1,7 @@
-"""Which module may load what: mpmath stays out of the exact tate path and
-nothing in src/ changes its process-wide precision, and the names the
-benchmark's tracer wraps and the modules export stay bound."""
+"""Which module may load what: mpmath stays out of the exact tate path,
+dataclasses out of the package and nothing in src/ changes mpmath's
+process-wide precision, and the names the benchmark's tracer wraps and the
+modules export stay bound."""
 
 import ast
 import importlib
@@ -41,18 +42,38 @@ def test_tate_command_loads_no_mpmath():
     assert _fresh(script) == "0 True False\n"
 
 
-def _imports_mpmath(path: pathlib.Path) -> bool:
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "mpmath" for a in node.names):
+def _imports(source: str, package: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == package for a in node.names):
             return True
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
             return True
     return False
 
 
+def _importers(package: str) -> list[str]:
+    return sorted(p.name for p in (SRC / "tatecycles").glob("*.py") if _imports(p.read_text(encoding="utf-8"), package))
+
+
 def test_only_bounds_and_cmlab_import_mpmath():
-    users = sorted(p.name for p in (SRC / "tatecycles").glob("*.py") if _imports_mpmath(p))
-    assert users == ["bounds.py", "cmlab.py"]
+    assert _importers("mpmath") == ["bounds.py", "cmlab.py"]
+
+
+def test_import_scan_finds_both_forms():
+    assert _imports("import dataclasses\n", "dataclasses")
+    assert _imports("from dataclasses import dataclass, field\n", "dataclasses")
+    assert not _imports("from .polycore import Record\n", "dataclasses")
+
+
+def test_src_never_imports_dataclasses():
+    # the records share polycore.Record: importing dataclasses costs every
+    # process about 6 ms (inspect, ast, dis, tokenize, copy, linecache)
+    assert _importers("dataclasses") == []
+
+
+def test_no_module_loads_dataclasses():
+    modules = ", ".join(f"tatecycles.{p.stem}" for p in sorted((SRC / "tatecycles").glob("*.py")) if p.stem != "__init__")
+    assert _fresh(f"import sys, {modules}\nprint('dataclasses' in sys.modules)\n") == "False\n"
 
 
 # context managers and attributes that change mpmath's process-wide precision,

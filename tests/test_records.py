@@ -1,0 +1,125 @@
+"""The package's immutable records (polycore.Record): fields that cannot be
+assigned, equality and hash on the field tuple within one class, keyword
+construction, defaults, validation and dataclass-style reprs."""
+
+import copy
+import pickle
+
+import pytest
+from mpmath import mp
+
+from tatecycles.bounds import BoundReport, FieldParams
+from tatecycles.cmlab import DensityReport, EllipticCurve, NonCmReport, NonSplitResult, PiKResult, SurveyRow
+from tatecycles.polycore import IntMatrix, IntPoly, Record
+from tatecycles.tate import TateRow, _Normalized
+from tatecycles.weil import WeilPoly, weil_from_trace
+
+_W = weil_from_trace(1, 5)
+_ROW = SurveyRow(5, -1, 0, "supersingular", 2, 6, 2)
+_BOUND = BoundReport("bound_B", (("N", "2"),), mp.mpf(3), 21)
+
+# one instance's field values per record class, in __slots__ order
+SAMPLES = {
+    IntPoly: ((5, -3, 1),),
+    IntMatrix: (2, 2, (1, 2, 3, 4)),
+    WeilPoly: (IntPoly([5, -1, 1]), 5, 5, 1),
+    _Normalized: ((1, 1, 5), _W),
+    TateRow: (1, ((1, 2), (2, 2)), 2, 1, 2),
+    FieldParams: (2, 1, "yes"),
+    BoundReport: ("bound_B", (("N", "2"),), mp.mpf(3), 21),
+    EllipticCurve: (0, 0, 1, -1, 0, "37a"),
+    SurveyRow: (5, -1, 0, "supersingular", 2, 6, 2),
+    DensityReport: (100, (("ordinary", 12),), (("ordinary", 0.5),)),
+    NonCmReport: ((_ROW,), True, ()),
+    NonSplitResult: (-4, 3, _BOUND, True),
+    PiKResult: (-4, 100, 25, 29.08, 0.86),
+}
+
+each_record = pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+
+
+def _fields(record) -> list:
+    return [getattr(record, name) for name in record.__slots__]
+
+
+@each_record
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    record = cls(*SAMPLES[cls])
+    for name in (*cls.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert _fields(record) == list(SAMPLES[cls])
+
+
+@each_record
+def test_equal_fields_give_equal_records_and_hashes(cls):
+    a, b = cls(*SAMPLES[cls]), cls(*copy.deepcopy(SAMPLES[cls]))
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@each_record
+def test_another_class_with_the_same_fields_is_not_equal(cls):
+    # the same name, fields and methods, but a class of its own
+    twin = type(cls.__name__, (Record,), {k: v for k, v in vars(cls).items() if k not in cls.__slots__})
+    a, b = cls(*SAMPLES[cls]), twin(*SAMPLES[cls])
+    assert _fields(a) == _fields(b)
+    assert a != b and b != a
+    assert a != tuple(SAMPLES[cls])
+
+
+@each_record
+def test_keyword_construction_matches_positional(cls):
+    values = SAMPLES[cls]
+    assert cls(**dict(zip(cls.__slots__, values))) == cls(*values)
+
+
+@each_record
+def test_copy_and_pickle_rebuild_equal_records(cls):
+    record = cls(*SAMPLES[cls])
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_defaults():
+    assert IntPoly().coeffs == () and IntPoly() == IntPoly([0, 0])
+    assert FieldParams(2) == FieldParams(2, 0, "no")
+    assert BoundReport("bound_B", (), mp.mpf(3)).exact_value is None
+    assert EllipticCurve(0, 0, 1, -1, 0).label == ""
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix(0, 2, []), "dimensions must be positive"),
+        (lambda: IntMatrix(2, 2, [1, 2, 3]), "expected 4 entries, got 3"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    ],
+)
+def test_int_matrix_validation(build, message):
+    # FieldParams and EllipticCurve are checked in test_bounds and test_cmlab
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_normalized_compares_and_hashes_by_key_only():
+    a, b = _Normalized((1, 1, 5), _W), _Normalized((1, 1, 5), weil_from_trace(2, 7))
+    assert a == b and hash(a) == hash(b)
+    assert _Normalized((1, 4, 5), _W) != a
+
+
+def test_field_params_equality_ignores_numeric_type():
+    assert FieldParams(2, 1) == FieldParams(2.0, 1.0)
+    assert hash(FieldParams(2, 1)) == hash(FieldParams(2.0, 1.0))
+
+
+def test_reprs_read_as_dataclass_reprs():
+    assert repr(TateRow(*SAMPLES[TateRow])) == (
+        "TateRow(k=1, dims=((1, 2), (2, 2)), stable_dim=2, min_stable_degree=1, degree_bound=2)"
+    )
+    assert repr(FieldParams(2, 1, "yes")) == "FieldParams(n_K=2, log_abs_disc=1, has_exceptional_zero='yes')"
+    assert repr(_Normalized((1, 1, 5), _W)) == "_Normalized(key=(1, 1, 5), w=WeilPoly(T^2 - T + 5, q=5, d=1))"
+    assert repr(IntPoly([5, -3, 1])) == "IntPoly('T^2 - 3T + 5')"
