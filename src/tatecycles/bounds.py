@@ -14,10 +14,11 @@ Every operation names its precision (``mp.mpf(x, prec=p)``, ``mp.fadd`` and
 the like with ``prec=p``, or raw ``mpmath.libmp`` calls), rounding as the
 ``mp`` context would at p bits; nothing reads or sets ``mp.prec``, so reports
 do not depend on the caller's precision or on other threads.  Real inputs
-(int, float, decimal string or mpf) are read at each evaluation's precision.
-``least_nonsplit_bound``, run once per discriminant in a sweep, works on raw
-mpf tuples and caches per (field, c, n, precision) c f(K), 5/(2(n-1)), log 55
-and their echoed strings.  ln 2 and the 4096-bit cap are cached per precision.
+(int, float, decimal string, mpf or ``mp.constant``) are read at each
+evaluation's precision.  ``least_nonsplit_bound``, run once per discriminant
+in a sweep, works on raw mpf tuples and caches per (field, c, n, precision)
+c f(K), 5/(2(n-1)), log 55 and their echoed strings.  ln 2 and the 4096-bit
+cap are cached per precision.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from math import ceil, factorial, log2
 
 from mpmath import mp
 from mpmath.libmp import (
-    fone,
     from_int,
-    from_str,
     mpf_add,
     mpf_div,
     mpf_exp,
@@ -37,10 +36,8 @@ from mpmath.libmp import (
     mpf_log,
     mpf_mul,
     mpf_pos,
-    mpf_sub,
     mpf_sum,
     round_ceiling,
-    round_floor,
     round_nearest,
     to_int,
     to_str,
@@ -149,13 +146,11 @@ def format_real(value) -> str:
 class BoundReport(Record):
     """Log-space value of a named bound with every input echoed.
 
-    ``exact_value`` is the integer ceiling of the bound when it fits in 4096
-    bits (adjusted to the floor in the rare case the ceiling is more than a
-    relative 1/exact_value away from the true value).  With v = e^L rounded
-    to a binary fraction, the ceiling c >= 2 is certified by the exact integer
-    comparison (c - v + 2^-32)(c + 1) < c; only where it fails is the
-    logarithmic floor test run.  L is evaluated at no fewer than log2(v) + 80
-    bits, plus the bits by which the bound amplifies rounding error, so only
+    ``exact_value`` is the integer ceiling c of the bound v = e^L when it fits
+    in 4096 bits, moved to the floor where c / v > (1 + 1/c)(1 + 10^-20): one
+    exact integer comparison, c^2 10^20 > floor((c + 1)(10^20 + 1) v), with v
+    a binary fraction.  L is evaluated at no fewer than log2(v) + 80 bits,
+    plus the bits by which the bound amplifies rounding error, so only
     ``log_value`` and the echoed inputs depend on the precision.
     """
 
@@ -202,26 +197,11 @@ def _exact_value_at(L, prec: int) -> int | None:
     wp = max(to_int(mpf_div(L, ln2, prec, round_nearest)) + 80, prec)
     v = mpf_exp(mpf_pos(L, wp, round_nearest), wp, round_nearest)
     c = to_int(v, round_ceiling)
-    # The floor test log(c) - L > 1e-20 + log1p(1/c) needs c - e^L > c/(c+1).
-    # wp exceeds log2(c) + 78, so v is within 2^-66 of e^L and the test's
-    # rounding error is below 2^(14-wp); if c - v falls short of c/(c+1) by
-    # 2^-32, log(c) - L falls short of log1p(1/c) by more than 2^(44-wp) and
-    # the test is false.  So where the comparison below holds, the floor test
-    # would keep c: it certifies only where the logarithmic route returns c,
-    # and elsewhere that route decides.  With v = man 2^e and
-    # s = max(32, -e) it is (c - v + 2^-32)(c + 1) < c scaled by 2^s, exact
-    # in integers.
+    # the floor where c^2 > (c + 1)(1 + 10^-20) v, the slack e^(1e-20) read as
+    # 1 + 10^-20; with v = man 2^e, flooring the right side keeps it exact
     _, man, e, _ = v
-    s = max(32, -e)
-    if c >= 2 and ((c << s) - (man << (e + s)) + (1 << (s - 32))) * (c + 1) < c << s:
-        return c
-    if c >= 1:
-        # mp.log1p(x) at wp bits: 1 + x at 2wp + 20 bits, its log at wp + 10, rounded to wp
-        x = mpf_div(fone, from_int(c), wp, round_nearest)
-        log1p = mpf_log(mpf_add(fone, x, 2 * wp + 20, round_nearest), wp + 10, round_nearest)
-        slack = mpf_add(from_str("1e-20", wp, round_nearest), mpf_pos(log1p, wp, round_nearest), wp, round_nearest)
-        if mpf_gt(mpf_sub(mpf_log(from_int(c), wp, round_nearest), L, wp, round_nearest), slack):
-            c = to_int(v, round_floor)
+    if c * c * 10**20 > (man * (c + 1) * (10**20 + 1) << max(0, e)) >> max(0, -e):
+        c -= 1
     return c
 
 

@@ -24,7 +24,7 @@ import time
 
 from . import __version__, tate, weil
 from .jsonout import write_json
-from .polycore import BudgetExceededError, InternalError, PolyFormatError, format_poly, parse_poly
+from .polycore import BudgetExceededError, InternalError, PolyFormatError, format_poly, parse_int_list, parse_poly
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -174,7 +174,7 @@ def _bounds_fk(bounds, args) -> dict:
 
 
 def _bounds_hensel(bounds, args) -> dict:
-    primes = _parse_int_list(args.primes)
+    primes = parse_int_list(args.primes)
     value = bounds.hensel_log_disc(args.nl, primes, precision_bits=args.precision)
     return {
         "name": "hensel_log_disc",
@@ -184,7 +184,7 @@ def _bounds_hensel(bounds, args) -> dict:
 
 
 def _bounds_hensel_galois(bounds, args) -> dict:
-    primes = _parse_int_list(args.primes)
+    primes = parse_int_list(args.primes)
     value = bounds.hensel_galois_log_disc(
         args.nl, args.nk, _real(bounds, args, "log_dk"), primes, precision_bits=args.precision
     )
@@ -276,16 +276,6 @@ def _human_bounds(report: dict) -> None:
             print(f"  exact_value = {row['exact_value']}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    s = text.strip()
-    if not s:
-        return []
-    try:
-        return [int(t.strip()) for t in s.split(",")]
-    except ValueError:
-        raise PolyFormatError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # cm
 
@@ -316,7 +306,8 @@ def cmd_cm(args) -> dict:
         inputs = {"curve": args.curve, "pmax": args.pmax}
         return _report("cm noncm", inputs, records)
     if args.subcommand == "nonsplit":
-        res = cmlab.least_nonsplit_search(args.disc, c=bounds.parse_real(args.c, "--c"))
+        bounds.parse_real(args.c, "--c")  # the text goes on, for the bound to read at each precision it uses
+        res = cmlab.least_nonsplit_search(args.disc, c=args.c)
         row = {
             "found_prime": res.found_prime,
             "theoretical_log_bound": bounds.format_real(res.theoretical_log_bound),

@@ -33,7 +33,7 @@ from mpmath import mp
 from mpmath.libmp import from_int, mpf_ei, mpf_le, mpf_ln2, mpf_log, mpf_pos, mpf_sub, round_nearest, to_float
 
 from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, least_nonsplit_bound
-from .polycore import BudgetExceededError, IntPoly, InternalError, Record, factorization, is_prime
+from .polycore import BudgetExceededError, IntPoly, InternalError, Record, factorization, is_prime, parse_int_list
 from .tate import stable_tate_dim, tate_dim
 from .weil import WeilPoly
 
@@ -255,13 +255,9 @@ class EllipticCurve(Record):
 
     @classmethod
     def parse(cls, text: str, label: str = "") -> "EllipticCurve":
-        parts = [t.strip() for t in text.split(",")]
-        if len(parts) != 5:
+        a = parse_int_list(text)
+        if len(a) != 5:
             raise ValueError("curve format is a1,a2,a3,a4,a6")
-        try:
-            a = [int(t) for t in parts]
-        except ValueError as exc:
-            raise ValueError(f"curve coefficients must be integers: {exc}") from None
         return cls(*a, label=label)
 
 
@@ -610,12 +606,10 @@ def _ascending_primes():
         n, seen = 2 * n, len(primes)
 
 
-def _log_at(n: int):
-    """log n as a raw mpf at the bound's default precision."""
-    return mpf_log(from_int(n), DEFAULT_PRECISION_BITS, round_nearest)
-
-
-_log_at_prime = lru_cache(maxsize=128)(_log_at)  # found primes repeat; |D| does not
+@lru_cache(maxsize=128)  # found primes repeat
+def _log_at_prime(p: int):
+    """log p as a raw mpf at the bound's default precision."""
+    return mpf_log(from_int(p), DEFAULT_PRECISION_BITS, round_nearest)
 
 
 def least_nonsplit_search(D: int, c=1) -> NonSplitResult:
@@ -633,7 +627,10 @@ def least_nonsplit_search(D: int, c=1) -> NonSplitResult:
         if kronecker_symbol(D, p) == -1:
             found = p
             break
-    log_d_L = mp.make_mpf(_log_at(abs(D)))
+    # log |D| at whatever precision the bound reads it, so that an evaluation
+    # above the default precision for exact_value reads more of its bits
+    m = abs(D)
+    log_d_L = mp.constant(lambda prec, rounding: mpf_log(from_int(m), prec, rounding), "log |D|")
     report = least_nonsplit_bound(RATIONALS, log_d_L, n=2, c=c)
     satisfied = mpf_le(_log_at_prime(found), report.log_value._mpf_)
     return NonSplitResult(D=D, found_prime=found, bound=report, satisfied=satisfied)

@@ -26,6 +26,7 @@ __all__ = [
     "PolyFormatError",
     "BudgetExceededError",
     "InternalError",
+    "parse_int_list",
     "parse_poly",
     "format_poly",
     "cyclotomic",
@@ -240,26 +241,35 @@ class IntPoly(Record):
 
 
 class PolyFormatError(ValueError):
-    """Raised for malformed polynomial text."""
+    """Raised for a malformed integer list or polynomial text."""
 
 
-def parse_poly(text: str) -> IntPoly:
-    """Parse the comma-separated coefficient format (constant term first).
+def parse_int_list(text: str) -> list[int]:
+    """The integers of a comma-separated list, the one grammar of every integer
+    list the CLI reads: each entry is ASCII digits with an optional leading
+    "-" (no "+", "_" or other digits), whitespace around commas is ignored,
+    and the empty string is the empty list.
 
-    Whitespace around commas is ignored, a leading "+" is forbidden, and the
-    empty string is the zero polynomial.
+    >>> parse_int_list(" 5, -3,1")
+    [5, -3, 1]
     """
     s = text.strip()
     if not s:
-        return IntPoly()
+        return []
     out = []
     for tok in s.split(","):
         tok = tok.strip()
         body = tok[1:] if tok.startswith("-") else tok
-        if not body or not body.isdigit():
-            raise PolyFormatError(f"bad coefficient {tok!r}: expected an integer like -3 (no leading '+')")
+        if not (body.isascii() and body.isdigit()):
+            raise PolyFormatError(f"bad integer {tok!r}: expected ASCII digits like -3 (no leading '+')")
         out.append(int(tok))
-    return IntPoly(out)
+    return out
+
+
+def parse_poly(text: str) -> IntPoly:
+    """Parse the comma-separated coefficient format (constant term first) of
+    ``parse_int_list``; the empty string is the zero polynomial."""
+    return IntPoly(parse_int_list(text))
 
 
 def format_poly(f: IntPoly) -> str:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations_with_replacement
 from math import isqrt
+
+from hypothesis import settings
 
 from tatecycles.polycore import IntPoly, cyclotomic, euler_phi
 from tatecycles.weil import (
@@ -16,6 +19,12 @@ from tatecycles.weil import (
 )
 
 SEED = 20260810
+
+# Tests that leave max_examples unset, the exit-code property test among them,
+# run the default 100 examples; TATECYCLES_HYPOTHESIS_PROFILE=ci loads a ten
+# times larger budget, which the CI workflow runs for that test alone.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("TATECYCLES_HYPOTHESIS_PROFILE", "default"))
 
 
 def _prime_powers(limit: int) -> list[int]:

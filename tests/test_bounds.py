@@ -464,6 +464,47 @@ def test_exact_value_matches_reference_at_the_cap(prec):
     assert got.count(None) == 6  # the three above by 2^-j and the three ulps above
 
 
+@pytest.mark.parametrize("prec", [256, 1024])
+@pytest.mark.parametrize("c", [1, 2, 3, 10**6, 10**9])
+def test_exact_value_floor_rule_at_its_own_boundary(prec, c):
+    # the floor c - 1 is taken below B = c^2 / ((c + 1)(1 + 10^-20)) and the
+    # ceiling c above it (B > c - 1 needs c below about 10^10); logs from 8
+    # to 2^20 ulps either side of log B are within 2^-98 of it, where a
+    # logarithmic test with e^(1e-20) in place of 1 + 10^-20 would keep the
+    # ceiling below B as well
+    work = 4 * prec
+    with mp.workprec(work):
+        B = mp.mpf(c) ** 2 / ((c + 1) * (1 + mp.mpf(10) ** -20))
+        log_B = mp.log(B)
+    with mp.workprec(prec):
+        L0 = +log_B
+        ulp = mp.ldexp(1, mp.mag(L0) - prec)
+        probes = [L0 + s * u * ulp for u in (8, 9, 64, 2**20) for s in (-1, 1)]
+    for L in probes:
+        with mp.workprec(work):
+            want = c if mp.exp(L) > B else c - 1
+        assert _exact_value_at(L._mpf_, prec) == want, (c, prec, mp.nstr(L - L0, 5))
+    with mp.workprec(work):
+        assert all(abs(mp.exp(L) / B - 1) < mp.ldexp(1, -98) for L in probes)
+
+
+def test_exact_value_of_a_vanishing_bound_is_zero():
+    # e^L far below 1/2 takes the floor 0; at L = -10^60 the exponent of v is
+    # too large to shift by, so the comparison must not scale by it
+    for L in (-(10**60), -5000, -3):
+        assert _same_exact_value(mp.mpf(L), 256) == 0
+
+
+def test_least_nonsplit_search_exact_value_matches_a_6000_bit_reference():
+    # exact_value needs about 530 bits here, so the bound is evaluated a second
+    # time; it must read log |D| and c again at that precision, not their
+    # 256-bit roundings (which moved the value by about 2.5 10^54 for D = -4)
+    for D, c in ((-4, 300), (-163, "200.3"), (-7, "150.25")):
+        with mp.workprec(6000):
+            want = _exact_value_reference(mp.mpf(c) + mp.mpf(5) / 2 * mp.log(abs(D)))
+        assert least_nonsplit_search(D, c=c).bound.exact_value == want, (D, c)
+
+
 def test_least_nonsplit_bound_cache_keeps_input_types():
     # FieldParams(2, ...) == FieldParams(2.0, ...) and 2 == 2.0, but the
     # echoed strings differ, so the cached invariants must not be shared

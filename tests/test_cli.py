@@ -461,6 +461,33 @@ def test_cm_nonsplit(capsys):
     assert row["bound"]["exact_value"] == "87"
 
 
+def test_cm_nonsplit_exact_value_matches_a_6000_bit_reference(capsys):
+    # --c goes to the bound as text, so the second evaluation that exact_value
+    # needs (about 330 bits here) reads 200.3 at that precision
+    report = run_json(capsys, "cm", "nonsplit", "--disc", "-163", "--c", "200.3")
+    with mp.workprec(6000):
+        want = mp.exp(mp.mpf("200.3")) * mp.mpf(163) ** 2 * mp.sqrt(163)
+        assert report["rows"][0]["bound"]["exact_value"] == str(int(mp.ceil(want)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tate", "--poly", "5,٠,1", "--q", "5"],
+        ["tate", "--poly", "5,²,1", "--q", "5"],
+        ["bounds", "hensel", "--nl", "2", "--primes", "1_1"],
+        ["bounds", "hensel-galois", "--nl", "4", "--nk", "2", "--primes", "+3"],
+        ["cm", "noncm", "--curve", "0,0,1,-1,٣", "--pmax", "10"],
+        ["cm", "noncm", "--curve", "0,0,1,-1_0,0", "--pmax", "10"],
+    ],
+)
+def test_integer_lists_share_one_grammar(capsys, argv):
+    # --poly, --primes and --curve all take ASCII digits with an optional '-'
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert "bad integer" in err
+
+
 def test_cm_pik(capsys):
     report = run_json(capsys, "cm", "pik", "--disc", "-4", "--x", "10")
     assert report["rows"][0]["count"] == 4

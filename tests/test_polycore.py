@@ -29,6 +29,7 @@ from tatecycles.polycore import (
     format_poly,
     from_power_sums,
     is_prime,
+    parse_int_list,
     parse_poly,
     poly_gcd,
     power_sums,
@@ -104,6 +105,17 @@ def test_parse_format():
         parse_poly("1,,2")
     with pytest.raises(PolyFormatError):
         parse_poly("1,a")
+
+
+@pytest.mark.parametrize("token", ["+2", "1_1", "٠", "²", "٣", "- 3", "0x10", "1.5", ""])
+def test_parse_int_list_takes_ascii_digits_only(token):
+    # int() reads every one of these but "- 3", "0x10", "1.5" and "";
+    # isdigit() passes the superscript and the Arabic-Indic digits
+    assert parse_int_list(" 5 , -3,1 ") == [5, -3, 1] and parse_int_list("") == []
+    with pytest.raises(PolyFormatError, match="bad integer"):
+        parse_int_list(f"5,{token},1")
+    with pytest.raises(PolyFormatError):
+        parse_poly(f"5,{token},1")
 
 
 # ---------------------------------------------------------------------------
