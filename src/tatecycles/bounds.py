@@ -101,11 +101,6 @@ class FieldParams(Record):
         object.__setattr__(self, "log_abs_disc", log_abs_disc)  # int/float/mpf, natural log of |d_K|
         object.__setattr__(self, "has_exceptional_zero", has_exceptional_zero)
 
-    def __hash__(self):
-        # hashed on every least_nonsplit_bound call; the inline tuple takes
-        # about 60% of the time of Record's attrgetter on CPython 3.11
-        return hash((self.n_K, self.log_abs_disc, self.has_exceptional_zero))
-
 
 RATIONALS = FieldParams(1, 0, "no")
 

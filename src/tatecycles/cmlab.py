@@ -428,16 +428,17 @@ def ap_cm(D: int, p: int) -> tuple[str, int]:
         raise ValueError(f"{p} is not prime")
     if (2 * D) % p == 0:
         raise ValueError(f"p = {p} divides 2D")
-    typ, a = _cm_trace(D, p)
+    typ, a = _cm_trace(D, p, kronecker_symbol(D, p))
     if a * a > 4 * p:
         raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
     return typ, a
 
 
-def _cm_trace(D: int, p: int) -> tuple[str, int]:
-    """ap_cm without its input checks, for a prime p not dividing 2D."""
-    # D is fundamental and p prime, so the symbol is the splitting of p
-    if kronecker_symbol(D, p) == -1:
+def _cm_trace(D: int, p: int, chi: int) -> tuple[str, int]:
+    """ap_cm without its input checks, for a prime p not dividing 2D and
+    chi = kronecker_symbol(D, p), which is the splitting of p since D is
+    fundamental and p prime."""
+    if chi == -1:
         return "supersingular", 0
     x, y = _cornacchia(D, p)
     if D == -4:
@@ -453,19 +454,11 @@ def _cm_trace(D: int, p: int) -> tuple[str, int]:
 # surveys
 
 class SurveyRow(Record):
-    """One prime of an E x E survey."""
+    """One prime of an E x E survey.  ``reduction_type`` is "ordinary",
+    "supersingular", "bad-or-excluded" or "bad"; every field but ``p`` and
+    ``reduction_type`` may be None."""
 
     __slots__ = ("p", "kronecker", "a_p", "reduction_type", "rank_base", "rank_stable", "stable_degree")
-
-    def __init__(self, p: int, kronecker, a_p, reduction_type: str, rank_base, rank_stable, stable_degree):
-        # every field but p and reduction_type may be None
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "kronecker", kronecker)
-        object.__setattr__(self, "a_p", a_p)
-        object.__setattr__(self, "reduction_type", reduction_type)  # ordinary | supersingular | bad-or-excluded | bad
-        object.__setattr__(self, "rank_base", rank_base)
-        object.__setattr__(self, "rank_stable", rank_stable)
-        object.__setattr__(self, "stable_degree", stable_degree)
 
     def to_record(self) -> dict:
         return {
@@ -481,11 +474,6 @@ class SurveyRow(Record):
 
 class DensityReport(Record):
     __slots__ = ("p_max", "counts", "fractions")
-
-    def __init__(self, p_max: int, counts: tuple[tuple[str, int], ...], fractions: tuple[tuple[str, float], ...]):
-        object.__setattr__(self, "p_max", p_max)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "fractions", fractions)
 
     def to_record(self) -> dict:
         return {
@@ -533,7 +521,7 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
         if p in (2, 3) or D % p == 0:
             rows.append(SurveyRow(p, chi, None, "bad-or-excluded", None, None, None))
         else:
-            rows.append(_exe_row(p, chi, *_cm_trace(D, p)))
+            rows.append(_exe_row(p, chi, *_cm_trace(D, p, chi)))
     good = [r for r in rows if r.a_p is not None]  # a_p is 0 at inert primes
     split = sum(r.kronecker == 1 for r in good)
     by_type = (("split", split), ("inert", len(good) - split))
@@ -547,12 +535,10 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
 
 
 class NonCmReport(Record):
-    __slots__ = ("rows", "all_rank_base_4", "exceptional_primes")
+    """A non-CM sweep; ``exceptional_primes`` are the good primes with
+    stable rank > 4."""
 
-    def __init__(self, rows: tuple[SurveyRow, ...], all_rank_base_4: bool, exceptional_primes: tuple[int, ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "all_rank_base_4", all_rank_base_4)
-        object.__setattr__(self, "exceptional_primes", exceptional_primes)  # good primes with stable rank > 4
+    __slots__ = ("rows", "all_rank_base_4", "exceptional_primes")
 
 
 def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
@@ -581,12 +567,6 @@ def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
 
 class NonSplitResult(Record):
     __slots__ = ("D", "found_prime", "bound", "satisfied")
-
-    def __init__(self, D: int, found_prime: int, bound: BoundReport, satisfied: bool):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "found_prime", found_prime)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "satisfied", satisfied)
 
     @property
     def theoretical_log_bound(self):
@@ -644,13 +624,6 @@ def _li_offset(x: int) -> float:
 
 class PiKResult(Record):
     __slots__ = ("D", "x", "count", "li_x", "ratio")
-
-    def __init__(self, D: int, x: int, count: int, li_x: float, ratio: float | None):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "li_x", li_x)
-        object.__setattr__(self, "ratio", ratio)
 
     def to_record(self) -> dict:
         return {

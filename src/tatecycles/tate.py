@@ -183,10 +183,6 @@ class _Normalized(Record, compare=("key",)):
 
     __slots__ = ("key", "w")
 
-    def __init__(self, key: tuple[int, ...], w: WeilPoly):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "w", w)
-
 
 def _normalize(w: WeilPoly) -> _Normalized:
     coeffs, q, d = w.poly.coeffs, w.q, w.d
@@ -253,14 +249,10 @@ def stable_tate_dim(w: WeilPoly, k: int) -> tuple[int, int]:
 
 
 class TateRow(Record):
-    __slots__ = ("k", "dims", "stable_dim", "min_stable_degree", "degree_bound")
+    """One codimension k of a Tate profile; ``dims`` holds the (n, dim)
+    pairs for n = 1..n_report."""
 
-    def __init__(self, k: int, dims: tuple, stable_dim: int, min_stable_degree: int, degree_bound: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "dims", dims)  # (n, dim) pairs, n = 1..n_report
-        object.__setattr__(self, "stable_dim", stable_dim)
-        object.__setattr__(self, "min_stable_degree", min_stable_degree)
-        object.__setattr__(self, "degree_bound", degree_bound)
+    __slots__ = ("k", "dims", "stable_dim", "min_stable_degree", "degree_bound")
 
 
 def tate_profile(w: WeilPoly, n_report: int | None = None) -> tuple[TateRow, ...]:

@@ -69,12 +69,6 @@ class WeilPoly(Record):
 
     __slots__ = ("poly", "q", "p", "d")
 
-    def __init__(self, poly: IntPoly, q: int, p: int, d: int):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-
     def __repr__(self) -> str:
         return f"WeilPoly({self.poly.pretty()}, q={self.q}, d={self.d})"
 

@@ -12,8 +12,6 @@ import sys
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
 from tatecycles import bounds, cli
@@ -623,87 +621,6 @@ def test_factor_budget_edge_resolves(capsys):
     # a prime just below 10^12 is still certified: T^2 + q over F_q
     report = run_json(capsys, "tate", "--poly", "999999000001,0,1", "--q", "999999000001")
     assert report["inputs"]["weil"]["d"] == 1
-
-
-def _exit_status(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, err.getvalue()
-
-
-_BIG_INTS = st.one_of(
-    st.integers(-10, 10**4),
-    st.integers(10**4, 10**30),
-    st.sampled_from([999999000001, 999983**2, 1000003 * 1000033, 2**61 - 1, 10**30]),
-)
-_REALS = st.one_of(
-    st.sampled_from(["nan", "inf", "+inf", "-inf", "NaN", "Infinity", "1e400", "x", ""]),
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.integers(-3, 10**6).map(str),
-)
-_FUZZ = settings(
-    max_examples=40,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-def _assert_contract(argv):
-    code, err = _exit_status(argv)
-    assert code in (0, 2, 3, 4), (argv, code, err)
-    assert "Traceback" not in err
-
-
-@_FUZZ
-@given(q=_BIG_INTS, constant=st.booleans())
-def test_fuzz_tate_q(q, constant):
-    poly = f"{q},0,1" if constant else "1,0,1"
-    _assert_contract(["tate", "--poly", poly, "--q", str(q), "--json"])
-
-
-@_FUZZ
-@given(
-    coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=14),
-    q=st.sampled_from([2, 5, 9, 49, 97]),
-)
-def test_fuzz_tate_poly(coeffs, q):
-    _assert_contract(["tate", "--poly", ",".join(map(str, coeffs)), "--q", str(q), "--json"])
-
-
-@_FUZZ
-@given(primes=st.lists(_BIG_INTS, min_size=1, max_size=3), nl=st.integers(1, 4))
-def test_fuzz_bounds_hensel_primes(primes, nl):
-    _assert_contract(["bounds", "hensel", "--nl", str(nl), "--primes", ",".join(map(str, primes)), "--json"])
-
-
-@_FUZZ
-@given(disc=_BIG_INTS, pik=st.booleans())
-def test_fuzz_cm_disc(disc, pik):
-    argv = ["cm", "pik", "--disc", str(disc), "--x", "10"] if pik else ["cm", "nonsplit", "--disc", str(disc)]
-    _assert_contract(argv + ["--json"])
-
-
-@_FUZZ
-@given(
-    sub=st.sampled_from(["fk", "hensel-galois", "nonsplit", "B", "C", "cm-nonsplit"]),
-    value=_REALS,
-)
-def test_fuzz_real_flags(sub, value):
-    argv = {
-        "fk": ["bounds", "fk", "--nk", "2", "--exceptional", "yes", "--log-dk", value],
-        "hensel-galois": ["bounds", "hensel-galois", "--nl", "4", "--nk", "2", "--log-dk", value],
-        "nonsplit": ["bounds", "nonsplit", "--nk", "1", "--n", "2", "--log-dl", value],
-        "B": ["bounds", "B", "--nk", "1", "--m", "1", "--d", "1", "--N", value],
-        "C": ["bounds", "C", "--nk", "1", "--d", "1", "--log-df", "1", "--c1", value],
-        "cm-nonsplit": ["cm", "nonsplit", "--disc", "-4", "--c", value],
-    }[sub]
-    _assert_contract(argv + ["--json"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Which module may load what: mpmath stays out of the exact tate path,
-dataclasses out of the package and nothing in src/ changes mpmath's
+dataclasses out of the package, exec and eval out of everything but
+polycore.Record's method builder, and nothing in src/ changes mpmath's
 process-wide precision, and the names the benchmark's tracer wraps and the
 modules export stay bound."""
 
@@ -74,6 +75,46 @@ def test_src_never_imports_dataclasses():
 def test_no_module_loads_dataclasses():
     modules = ", ".join(f"tatecycles.{p.stem}" for p in sorted((SRC / "tatecycles").glob("*.py")) if p.stem != "__init__")
     assert _fresh(f"import sys, {modules}\nprint('dataclasses' in sys.modules)\n") == "False\n"
+
+
+_DYNAMIC = {"exec", "eval"}
+
+
+def _dynamic_code_uses(tree: ast.AST, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing qualname, line) of every exec or eval name or attribute."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _dynamic_code_uses(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in _DYNAMIC:
+            found.append((scope, node.lineno))
+        found += _dynamic_code_uses(node, scope)
+    return found
+
+
+def test_dynamic_code_scan_finds_each_form():
+    source = (
+        "exec('x = 1')\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return eval('1')\n"
+        "    run = builtins.exec\n"
+        "def g(): lambda: exec\n"
+    )
+    assert _dynamic_code_uses(ast.parse(source)) == [("", 1), ("A.f", 4), ("A", 5), ("g", 6)]
+
+
+def test_only_record_builds_methods_from_source():
+    # polycore.Record.__init_subclass__ compiles each record's __init__, ==
+    # and hash; generated code anywhere else would be harder to read and trace
+    found = {
+        f"{path.stem}.{scope}"
+        for path in sorted((SRC / "tatecycles").glob("*.py"))
+        for scope, _ in _dynamic_code_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"polycore.Record.__init_subclass__"}
 
 
 # context managers and attributes that change mpmath's process-wide precision,

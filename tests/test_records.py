@@ -1,8 +1,10 @@
 """The package's immutable records (polycore.Record): fields that cannot be
 assigned, equality and hash on the field tuple within one class, keyword
-construction, defaults, validation and dataclass-style reprs."""
+construction, the generated ``__init__``s, defaults, validation and
+dataclass-style reprs."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -36,6 +38,12 @@ SAMPLES = {
 }
 
 each_record = pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+
+# the records that validate their input or have a default write their own __init__
+OWN_INIT = {IntPoly, IntMatrix, FieldParams, EllipticCurve, BoundReport}
+each_generated_init = pytest.mark.parametrize(
+    "cls", [cls for cls in SAMPLES if cls not in OWN_INIT], ids=lambda cls: cls.__name__
+)
 
 
 def _fields(record) -> list:
@@ -82,6 +90,65 @@ def test_copy_and_pickle_rebuild_equal_records(cls):
     record = cls(*SAMPLES[cls])
     assert copy.copy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_only_the_validating_records_write_their_own_init():
+    # a generated method is compiled from a string, not read from a module file
+    assert {cls for cls in SAMPLES if cls.__init__.__code__.co_filename != "<string>"} == OWN_INIT
+    for cls in SAMPLES:
+        assert cls.__eq__.__code__.co_filename == cls.__hash__.__code__.co_filename == "<string>"
+
+
+@each_generated_init
+def test_generated_init_takes_exactly_the_fields(cls):
+    values = SAMPLES[cls]
+    with pytest.raises(TypeError, match="missing 1 required positional argument"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=None)
+
+
+@each_generated_init
+def test_generated_init_signature_and_name(cls):
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__name__ == "__init__"
+
+
+@each_record
+def test_hash_is_the_hash_of_the_compared_fields(cls):
+    record = cls(*SAMPLES[cls])
+    assert cls.__eq__.__qualname__ == f"{cls.__name__}.__eq__"
+    assert cls.__hash__.__qualname__ == f"{cls.__name__}.__hash__"
+    fields = ["key"] if cls is _Normalized else cls.__slots__
+    key = tuple(getattr(record, name) for name in fields)
+    # a single compared field is its own key
+    assert hash(record) == hash(key if len(key) > 1 else key[0])
+
+
+def test_methods_a_record_defines_are_kept():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a, b=0):
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+
+        def __hash__(self):
+            return 7
+
+    class Labelled(Record):
+        __slots__ = ("value", "label")
+
+        def __eq__(self, other):
+            return isinstance(other, Labelled) and self.value == other.value
+
+    assert Pair(1) == Pair(1, 0) and hash(Pair(1)) == hash(Pair(2)) == 7
+    assert Labelled(1, "x") == Labelled(1, "y")
+    assert Labelled.__hash__ is None  # Python's rule for a class that defines only __eq__
+    assert list(inspect.signature(Labelled).parameters) == ["value", "label"]
 
 
 def test_defaults():
