@@ -117,7 +117,12 @@ def _verify_tate(path: str) -> dict:
             loaded = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise PolyFormatError(f"cannot read report {path}: {exc}") from None
-    if not isinstance(loaded, dict) or loaded.get("schema") != SCHEMA_VERSION or loaded.get("command") != "tate":
+    if (
+        not isinstance(loaded, dict)
+        or not _is_int(loaded.get("schema"))
+        or loaded["schema"] != SCHEMA_VERSION
+        or loaded.get("command") != "tate"
+    ):
         raise PolyFormatError(f"{path} is not a schema-{SCHEMA_VERSION} tate report")
     inputs = loaded.get("inputs")
     if not (

@@ -32,7 +32,7 @@ from math import isqrt, lcm, prod
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_ei, mpf_le, mpf_ln2, mpf_log, mpf_pos, mpf_sub, round_nearest, to_float
 
-from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, BoundReport, least_nonsplit_bound
+from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, least_nonsplit_bound
 from .polycore import BudgetExceededError, IntPoly, InternalError, Record, factorization, is_prime, parse_int_list
 from .tate import stable_tate_dim, tate_dim
 from .weil import WeilPoly

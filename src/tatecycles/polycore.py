@@ -2,7 +2,7 @@
 
 A polynomial is a dense sequence of arbitrary-precision integer coefficients,
 constant term first, with no stored trailing zeros; the zero polynomial has an
-empty coefficient sequence.  Matrices are row-major integer arrays.  All
+empty coefficient sequence.  A matrix is a list of integer rows.  All
 arithmetic here is exact; nothing in this module touches floating point.
 
 The text format used throughout the package (and by the CLI) writes a
@@ -23,7 +23,6 @@ from math import gcd, lcm
 __all__ = [
     "Record",
     "IntPoly",
-    "IntMatrix",
     "PolyFormatError",
     "BudgetExceededError",
     "InternalError",
@@ -41,7 +40,6 @@ __all__ = [
     "power_sums",
     "from_power_sums",
     "charpoly",
-    "companion",
     "compound_matrix",
     "poly_gcd",
     "squarefree_part",
@@ -491,105 +489,23 @@ def _newton_coefficients(sums) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
+# integer matrices, each a list of rows: the tests' independent oracles
 
-class IntMatrix(Record):
-    """Immutable row-major integer matrix."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        ent = tuple(entries)
-        if len(ent) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-
-    @staticmethod
-    def from_rows(rows_of_entries) -> "IntMatrix":
-        rows = [list(r) for r in rows_of_entries]
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return IntMatrix(len(rows), ncols, [c for r in rows for c in r])
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.at(i, j)
-
-    def to_lists(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        a, b = self.to_lists(), other.to_lists()
-        bt = list(zip(*b))
-        ent = []
-        for row in a:
-            for col in bt:
-                ent.append(sum(x * y for x, y in zip(row, col)))
-        return IntMatrix(self.rows, other.cols, ent)
-
-    def pow(self, e: int) -> "IntMatrix":
-        """Exact matrix power, e >= 0 (square matrices only)."""
-        if not self.is_square:
-            raise ValueError("matrix power requires a square matrix")
-        if e < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()})"
+def _square_size(A) -> int:
+    """The size n of an n x n matrix given as a list of rows."""
+    n = len(A)
+    if n == 0 or any(len(row) != n for row in A):
+        raise ValueError("expected a non-empty square matrix as a list of rows")
+    return n
 
 
-def companion(f: IntPoly) -> IntMatrix:
-    """Companion matrix of a monic polynomial of degree >= 1.
-
-    charpoly(companion(f)) == f by construction.
-    """
-    if f.degree < 1 or not f.is_monic():
-        raise ValueError("companion matrix requires a monic polynomial of degree >= 1")
-    n = f.degree
-    ent = [0] * (n * n)
-    for i in range(n):
-        ent[i * n + n - 1] = -f.coeffs[i]
-    for i in range(1, n):
-        ent[i * n + i - 1] = 1
-    return IntMatrix(n, n, ent)
-
-
-def charpoly(M: IntMatrix) -> IntPoly:
-    """Monic characteristic polynomial det(T*I - M) by the Berkowitz method.
+def charpoly(A) -> IntPoly:
+    """Monic characteristic polynomial det(T*I - A) of a square list of rows
+    A, by the Berkowitz method.
 
     Division-free: every intermediate value is an integer.
     """
-    if not M.is_square:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    A = M.to_lists()
-    n = M.rows
+    n = _square_size(A)
     p = [1]  # coefficients in descending powers of T
     for k in range(n):
         a = A[k][k]
@@ -639,30 +555,24 @@ def _det_inplace(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def compound_matrix(M: IntMatrix, r: int) -> IntMatrix:
-    """The r-th compound (exterior power) matrix of a square matrix.
+def compound_matrix(A, r: int) -> list[list[int]]:
+    """The r-th compound (exterior power) matrix of a square list of rows A,
+    as a new list of rows.
 
     Rows and columns are indexed by the lexicographically ordered r-element
     subsets of the row/column indices; entry (I, J) is the minor with rows I
     and columns J.  Its eigenvalues are the r-fold products of the eigenvalues
-    of M.
+    of A.
     """
-    if not M.is_square:
-        raise ValueError("compound matrix requires a square matrix")
-    s = M.rows
+    s = _square_size(A)
     if not 1 <= r <= s:
         raise ValueError(f"compound order must satisfy 1 <= r <= {s}")
-    if r == 1:
-        return M
-    A = M.to_lists()
     subsets = list(itertools.combinations(range(s), r))
-    ent = []
+    out = []
     for I in subsets:
         rowsI = [A[i] for i in I]
-        for J in subsets:
-            ent.append(_det_inplace([[row[j] for j in J] for row in rowsI]))
-    m = len(subsets)
-    return IntMatrix(m, m, ent)
+        out.append([_det_inplace([[row[j] for j in J] for row in rowsI]) for J in subsets])
+    return out
 
 
 # ---------------------------------------------------------------------------

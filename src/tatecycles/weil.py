@@ -191,10 +191,10 @@ def h_charpoly(w: WeilPoly, r: int) -> IntPoly:
     fixes the root multiset, so the roots are s = q^(r-d) times those of
     H^(2d-r) and H^r(T) = s^N Q_(2d-r)(T/s), whose T^i coefficient is
     a_i s^(N-i); it is exact and cached per (w, r) like the direct route.  The characteristic
-    polynomial of the r-th compound of the companion matrix
-    (``polycore.compound_matrix``) and the full Newton recovery
-    (``h_charpoly_full`` in the tests' oracles) give the same polynomial and
-    serve as the independent checks.
+    polynomial of the r-th compound (``polycore.compound_matrix``) of the
+    companion matrix (``companion`` in the tests' oracles) and the full
+    Newton recovery (``h_charpoly_full``, also there) give the same
+    polynomial and serve as the independent checks.
 
     >>> h_charpoly(weil_from_trace(0, 5), 2)
     IntPoly('T - 5')
@@ -211,7 +211,8 @@ def base_change(w: WeilPoly, n: int) -> WeilPoly:
 
     Since p_j(f_n) = p_{jn}(f), the power sums of f give those of f_n, and
     one Newton pass rebuilds it exactly.  The characteristic polynomial of
-    the n-th power of the companion matrix is the oracle in the tests.
+    the n-th power of the companion matrix (``matrix_power`` and
+    ``companion`` in the tests' oracles) is the independent check.
 
     >>> base_change(weil_from_trace(0, 5), 2).poly
     IntPoly('T^2 + 10T + 25')

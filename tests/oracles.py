@@ -12,6 +12,9 @@ every Phi_m of the totient-bounded set, with no pre-test, no Galois filter
 and no cache keyed on the normalized polynomial.
 ``ap_charsum`` counts points by Euler's criterion on the long Weierstrass
 model, with no Legendre table, no short model and no group law.
+``companion`` and ``matrix_power`` build integer matrices, as lists of rows,
+whose ``polycore.charpoly`` (of a ``polycore.compound_matrix`` for H^r)
+checks the power-sum routes of ``h_charpoly`` and ``base_change``.
 """
 
 from __future__ import annotations
@@ -75,6 +78,24 @@ def _classify_distance(dist, threshold, band) -> bool:
             f"of the threshold {mp.nstr(threshold, 8)}"
         )
     return dist < threshold
+
+
+def companion(f: IntPoly) -> list[list[int]]:
+    """Companion matrix of a monic polynomial of degree n >= 1: ones below
+    the diagonal and -f_0, ..., -f_(n-1) down the last column, so
+    charpoly(companion(f)) == f by construction."""
+    n = f.degree
+    if n < 1 or not f.is_monic():
+        raise ValueError("companion matrix requires a monic polynomial of degree >= 1")
+    return [[int(j == i - 1) for j in range(n - 1)] + [-f.coeffs[i]] for i in range(n)]
+
+
+def matrix_power(A, n: int) -> list[list[int]]:
+    """A^n for a square list of rows A and n >= 0, as n exact products."""
+    power = [[int(i == j) for j in range(len(A))] for i in range(len(A))]
+    for _ in range(n):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*A)] for row in power]
+    return power
 
 
 def h_charpoly_full(w: WeilPoly, r: int) -> IntPoly:

@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp
 
 from conftest import instance_suite
-from oracles import PrecisionInsufficientError, complex_roots, tate_dim_numeric
+from oracles import PrecisionInsufficientError, companion, complex_roots, tate_dim_numeric
 from tatecycles.bounds import (
     RATIONALS,
     FieldParams,
@@ -36,10 +36,8 @@ from tatecycles.cmlab import (
     primes_up_to,
 )
 from tatecycles.polycore import (
-    IntMatrix,
     IntPoly,
     charpoly,
-    companion,
     compound_matrix,
     cyclotomic,
     divisors,
@@ -256,7 +254,7 @@ def test_criterion_9_kernel():
     with mp.workprec(300):
         tol = mp.mpf(2) ** -100
         for s in (3, 4, 5, 6):
-            M = IntMatrix(s, s, [rng.randint(-9, 9) for _ in range(s * s)])
+            M = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(s)]
             eigs = complex_roots(charpoly(M))
             for r in range(1, s + 1):
                 comp_eigs = complex_roots(charpoly(compound_matrix(M, r)))

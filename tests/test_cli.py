@@ -134,6 +134,9 @@ def test_tate_verify_rejects_garbage(capsys, tmp_path):
         {"schema": 1, "command": "tate", "inputs": {"poly": [5, 0, 1], "q": 5, "n_max": None}},
         {"schema": 1, "command": "tate", "inputs": {"poly": "5,0,1", "q": 5, "n_max": "3"}},
         [1, 2],
+        # true and 1.0 equal 1 in Python but are not the integer schema
+        {"schema": True, "command": "tate", "inputs": {"poly": "5,0,1", "q": 5, "n_max": None}},
+        {"schema": 1.0, "command": "tate", "inputs": {"poly": "5,0,1", "q": 5, "n_max": None}},
     ],
 )
 def test_tate_verify_rejects_malformed_inputs(capsys, tmp_path, report):

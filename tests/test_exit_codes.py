@@ -108,16 +108,16 @@ _SAVED = tempfile.TemporaryDirectory(prefix="tatecycles-reports-")
 
 @st.composite
 def _corrupt_report(draw):
-    """The text of a tate report that --verify must reject: truncated JSON, a
-    JSON array, a wrong schema or command, q or n_max of the wrong type, or a
-    valid report with one dim changed."""
+    """(kind, text) of a tate report that --verify must reject: truncated JSON,
+    a JSON array, a wrong schema or command, q or n_max of the wrong type, or
+    a valid report with one dim changed."""
     report = json.loads(_REPORT)
     kind = draw(st.sampled_from(["truncated", "array", "schema", "command", "q", "n_max", "dim"]))
     if kind == "truncated":
         text = _REPORT.rstrip()
-        return text[: draw(st.integers(0, len(text) - 1))]
+        return kind, text[: draw(st.integers(0, len(text) - 1))]
     if kind == "array":
-        return json.dumps(draw(st.sampled_from([[], [report]])))
+        return kind, json.dumps(draw(st.sampled_from([[], [report]])))
     if kind == "schema":
         report["schema"] = draw(st.sampled_from([0, 2, "1", True, 1.0, None]))
     elif kind == "command":
@@ -129,7 +129,7 @@ def _corrupt_report(draw):
     else:
         entry = draw(st.sampled_from([e for row in report["rows"] for e in row["dims"]]))
         entry["dim"] += draw(st.sampled_from([-1, 1, 2, 10**30]))
-    return json.dumps(report, indent=2)
+    return kind, json.dumps(report, indent=2)
 
 
 def _saved(text):
@@ -158,7 +158,7 @@ _TEXT = {
         st.sampled_from(["0,0,1,-1,0", "0,-1,1,-10,-20", "0,0,0,1,0", "0,0,0,0,1", "0,0,0,0,0", "1,1,1,1,1"]),
     ),
     "verify": st.just(os.path.join(tempfile.gettempdir(), "tatecycles-no-such-report.json"))
-    | _corrupt_report().map(_saved),
+    | _corrupt_report().map(lambda drawn: _saved(drawn[1])),
 }
 
 # valid (poly, q) pairs for tate, d <= 3 and q <= 97, and T^2 + q for any
@@ -240,9 +240,13 @@ def test_every_argv_ends_in_a_documented_exit_code(path, parser, data):
 
 
 @settings(deadline=None, derandomize=True, database=None)
-@given(text=_corrupt_report())
-def test_a_corrupt_report_never_verifies(text):
+@given(drawn=_corrupt_report())
+def test_a_corrupt_report_never_verifies(drawn):
+    kind, text = drawn
+    # a changed dim is a well-formed report whose content differs; every
+    # other corruption is a malformed input
+    codes = (2, 4) if kind == "dim" else (2,)
     for mode in (["--json"], []):
         code, out, err = _run(["tate", "--verify", _saved(text), *mode])
-        assert code in (2, 4), (text, code, out)
+        assert code in codes, (kind, text, code, out)
         assert "Traceback" not in err and out == "", err

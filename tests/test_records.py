@@ -1,7 +1,7 @@
 """The package's immutable records (polycore.Record): fields that cannot be
 assigned, equality and hash on the field tuple within one class, keyword
-construction, the generated ``__init__``s, defaults, validation and
-dataclass-style reprs."""
+construction, the generated ``__init__``s, defaults and dataclass-style
+reprs."""
 
 import copy
 import inspect
@@ -12,7 +12,7 @@ from mpmath import mp
 
 from tatecycles.bounds import BoundReport, FieldParams
 from tatecycles.cmlab import DensityReport, EllipticCurve, NonCmReport, NonSplitResult, PiKResult, SurveyRow
-from tatecycles.polycore import IntMatrix, IntPoly, Record
+from tatecycles.polycore import IntPoly, Record
 from tatecycles.tate import TateRow, _Normalized
 from tatecycles.weil import WeilPoly, weil_from_trace
 
@@ -23,7 +23,6 @@ _BOUND = BoundReport("bound_B", (("N", "2"),), mp.mpf(3), 21)
 # one instance's field values per record class, in __slots__ order
 SAMPLES = {
     IntPoly: ((5, -3, 1),),
-    IntMatrix: (2, 2, (1, 2, 3, 4)),
     WeilPoly: (IntPoly([5, -1, 1]), 5, 5, 1),
     _Normalized: ((1, 1, 5), _W),
     TateRow: (1, ((1, 2), (2, 2)), 2, 1, 2),
@@ -40,7 +39,7 @@ SAMPLES = {
 each_record = pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
 
 # the records that validate their input or have a default write their own __init__
-OWN_INIT = {IntPoly, IntMatrix, FieldParams, EllipticCurve, BoundReport}
+OWN_INIT = {IntPoly, FieldParams, EllipticCurve, BoundReport}
 each_generated_init = pytest.mark.parametrize(
     "cls", [cls for cls in SAMPLES if cls not in OWN_INIT], ids=lambda cls: cls.__name__
 )
@@ -156,20 +155,6 @@ def test_defaults():
     assert FieldParams(2) == FieldParams(2, 0, "no")
     assert BoundReport("bound_B", (), mp.mpf(3)).exact_value is None
     assert EllipticCurve(0, 0, 1, -1, 0).label == ""
-
-
-@pytest.mark.parametrize(
-    "build, message",
-    [
-        (lambda: IntMatrix(0, 2, []), "dimensions must be positive"),
-        (lambda: IntMatrix(2, 2, [1, 2, 3]), "expected 4 entries, got 3"),
-        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
-    ],
-)
-def test_int_matrix_validation(build, message):
-    # FieldParams and EllipticCurve are checked in test_bounds and test_cmlab
-    with pytest.raises(ValueError, match=message):
-        build()
 
 
 def test_normalized_compares_and_hashes_by_key_only():
