@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__, tate, weil
 from .jsonout import write_json
@@ -436,9 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parse_args leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
         report = args.run(args)

@@ -12,14 +12,12 @@ invariant under negating both H^1 roots.  Traces of other curves count
 E(F_p): for p >= 5 by baby-step giant-step on point orders, certified by
 the Hasse bound, and otherwise by a character sum.
 
-The survey loops take their primes from a sieve, so they call internal steps
-that skip the checks a sieved prime already meets: ``_cm_trace`` and
-``_pointcount`` run no primality test, and ``_exe_weil`` builds the E x E
-Weil polynomial (T^2 - aT + p)^2 directly, keeping only the exact Hasse
-check.  The public ``ap_cm`` and ``ap_pointcount`` keep every check and
-call the same trace kernels; ``weil_from_trace`` keeps its own checks.  Both
-surveys build each good row through ``_exe_row`` and read their counts off
-the finished rows.
+The survey loops take their primes from a sieve, so ``_cm_trace`` and
+``_pointcount`` run no primality test; the public ``ap_cm`` and
+``ap_pointcount`` keep every check and call the same trace kernels.  Both
+surveys build each good row through ``_exe_row``, which reads the E x E
+ranks off a^2/p (Niven's theorem) with no Weil polynomial, and read their
+counts off the finished rows.
 """
 
 from __future__ import annotations
@@ -33,9 +31,10 @@ from mpmath import mp
 from mpmath.libmp import from_int, mpf_ei, mpf_le, mpf_ln2, mpf_log, mpf_pos, mpf_sub, round_nearest, to_float
 
 from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, least_nonsplit_bound
-from .polycore import BudgetExceededError, IntPoly, InternalError, Record, factorization, is_prime, parse_int_list
-from .tate import stable_tate_dim, tate_dim
-from .weil import WeilPoly
+from .polycore import BudgetExceededError, InternalError, Record, factorization, is_prime, parse_int_list
+
+# Nothing here calls these any more; bench/tracer.py wraps them on cmlab.
+from .tate import stable_tate_dim, tate_dim  # noqa: F401
 
 __all__ = [
     "BudgetExceededError",
@@ -484,23 +483,22 @@ class DensityReport(Record):
         }
 
 
-def _exe_weil(a: int, p: int) -> WeilPoly:
-    """The Weil polynomial (T^2 - aT + p)^2 of E x E, for a trace a at a
-    prime p the sieve gave.  It equals product_variety of weil_from_trace(a,
-    p) with itself; of the checks there only the exact Hasse bound is needed,
-    since p is already known to be prime."""
-    if a * a > 4 * p:
-        raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
-    return WeilPoly(poly=IntPoly([p * p, -2 * a * p, a * a + 2 * p, -2 * a, 1]), q=p, p=p, d=2)
-
-
 def _exe_row(p: int, chi: int | None, typ: str, a: int) -> SurveyRow:
     """The survey row of a good prime p: E x E with trace a over F_p and its
-    Tate ranks in codimension 1 over F_p and over the algebraic closure."""
-    w = _exe_weil(a, p)
-    rank_base = tate_dim(w, 1, 1)
-    rank_stable, stable_degree = stable_tate_dim(w, 1)
-    return SurveyRow(p, chi, a, typ, rank_base, rank_stable, stable_degree)
+    Tate ranks in codimension 1 over F_p and over the algebraic closure.
+
+    With H^1 roots alpha and beta = p/alpha, the H^2 ratios alpha_I / p are 1
+    four times, zeta = alpha^2/p and 1/zeta, and zeta + 1/zeta = a^2/p - 2 is
+    rational.  By Niven's theorem zeta is then a root of unity only for a^2/p
+    in {4, 0, 1, 2, 3}, of order m = 1, 2, 3, 4, 6 in that order.
+    """
+    if a * a > 4 * p:
+        raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
+    j, r = divmod(a * a, p)
+    m = None if r else {4: 1, 0: 2, 1: 3, 2: 4, 3: 6}.get(j)  # the order of zeta
+    if m is None:
+        return SurveyRow(p, chi, a, typ, 4, 4, 1)
+    return SurveyRow(p, chi, a, typ, 6 if m == 1 else 4, 6, m)
 
 
 def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:

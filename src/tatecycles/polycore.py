@@ -51,19 +51,17 @@ __all__ = [
 class Record:
     """Immutable value whose fields are its ``__slots__``.  Each subclass gets
     ``__init__(self, <fields in order>)``, which sets each field once with
-    ``object.__setattr__``, and ``==`` and ``hash`` on the tuple of its fields,
-    or of those named by ``class K(Record, compare=(...))``, matching only the
-    same class; a method the class defines itself is kept.  The repr reads
-    ``Name(field=value, ...)``."""
+    ``object.__setattr__``, and ``==`` and ``hash`` on the tuple of its
+    fields, matching only the same class; a method the class defines itself
+    is kept.  The repr reads ``Name(field=value, ...)``."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, compare: tuple[str, ...] = ()):
+    def __init_subclass__(cls):
         # one exec per class compiles the straight-line methods a dataclass
         # would; a loop over the fields costs each construction about 60% more
-        compared = compare or cls.__slots__
-        own, other = (", ".join(f"{obj}.{n}" for n in compared) for obj in ("self", "other"))
-        if len(compared) > 1:  # one field is its own key
+        own, other = (", ".join(f"{obj}.{n}" for n in cls.__slots__) for obj in ("self", "other"))
+        if len(cls.__slots__) > 1:  # one field is its own key
             own, other = f"({own})", f"({other})"
         sets = "".join(f"\n    _set(self, {n!r}, {n})" for n in cls.__slots__)
         sources = {

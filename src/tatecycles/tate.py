@@ -22,15 +22,6 @@ makes row d - k equal to row k: the H^{2k} roots are q^{2k-d} times the
 H^{2d-2k} roots, so R_k(T) = s^N R_{d-k}(T) with s = q^{2k-d}, and the rows
 with 2k > d reuse the cyclotomic pairs of row d - k.
 
-The pairs are cached on the normalized polynomial u(T) = w(sqrt(q) T) / q^d,
-not on w: each root of R_k is a product over a 2k-subset I of the roots
-alpha_i / sqrt(q) of u, so two Weil polynomials with equal u have equal pairs
-in every row, whatever their q.  The key is d, then for i = d..2d-1 the sign
-of c_i and c_i^2 / q^(2d-i) in lowest terms, which is exact even where
-sqrt(q) is irrational; the functional equation mirrors the lower half.  Every
-supersingular E x E fibre with a_p = 0 has u = (T^2 + 1)^2, so a survey
-builds one H^2 charpoly and runs one scan for all of its inert primes.
-
 The cyclotomic scan skips every m whose Carmichael lambda(m) does not divide
 E_d = 2 lcm(1..d).  The roots of R lie in the splitting field K of w, whose
 Galois group commutes with alpha -> q/alpha and so embeds in W(C_d), times a
@@ -50,7 +41,7 @@ raises BudgetExceededError before any H^{2k} work.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .polycore import (
     BudgetExceededError,
@@ -175,44 +166,21 @@ def _cyclotomic_scan(Q: IntPoly, s: int, witnesses: tuple[tuple[int, int], ...])
     return tuple(out)
 
 
-class _Normalized(Record, compare=("key",)):
-    """Key of w's normalized polynomial u(T) = w(sqrt(q) T) / q^d (see the
-    module docstring): d, then for i = d..2d-1 the numerator signed as c_i
-    and the denominator of c_i^2 / q^(2d-i) in lowest terms.  Hashes and
-    compares by ``key`` only and carries ``w`` for a cache miss."""
-
-    __slots__ = ("key", "w")
-
-
-def _normalize(w: WeilPoly) -> _Normalized:
-    coeffs, q, d = w.poly.coeffs, w.q, w.d
-    key, den = [d], coeffs[0]  # den = q^(2d - i), from c_0 = q^d
-    for c in coeffs[d:2 * d]:
-        num = c * c
-        g = gcd(num, den)
-        # with g = 1 the key shares c_0 with w: 1,024 cached keys stay small
-        key += (num // g if c > 0 else -num // g, den if g == 1 else den // g)
-        den //= q
-    return _Normalized(tuple(key), w)
-
-
 @lru_cache(maxsize=1024)
-def _unity_ratio_multiplicities(u: _Normalized, k: int) -> tuple[tuple[int, int], ...]:
+def _unity_ratio_multiplicities(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
     """Pairs (m, e), e > 0, of Phi_m^e in R(T) = Q(q^k T), Q the H^{2k}
-    charpoly of u.w, for 2k <= d; complete since any Phi_m dividing R has
-    phi(m) <= deg R and lambda(m) | 2 lcm(1..d), and the same for every w
-    with u's key.  Raises BudgetExceededError for d > 6 before the charpoly
-    is built."""
-    w = u.w
+    charpoly of w, for 2k <= d; complete since any Phi_m dividing R has
+    phi(m) <= deg R and lambda(m) | 2 lcm(1..d).  Raises BudgetExceededError
+    for d > 6 before the charpoly is built."""
     witnesses = _witness_table(comb(2 * w.d, 2 * k), w.d)
     return _cyclotomic_scan(h_charpoly(w, 2 * k), w.q**k, witnesses)
 
 
-def _pairs(u: _Normalized, k: int) -> tuple[tuple[int, int], ...]:
+def _pairs(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
     """_unity_ratio_multiplicities of row k; for 2k > d those of row d - k,
     since by Poincare duality R_k(T) = s^N R_(d-k)(T), s = q^(2k-d) (see
     h_charpoly)."""
-    return _unity_ratio_multiplicities(u, min(k, u.w.d - k))
+    return _unity_ratio_multiplicities(w, min(k, w.d - k))
 
 
 def _stable(mults: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -232,7 +200,7 @@ def tate_dim(w: WeilPoly, k: int, n: int) -> int:
     (4, 6)
     """
     _check_codim(w.d, k, n)
-    mults = _pairs(_normalize(w), k)
+    mults = _pairs(w, k)
     return sum(euler_phi(m) * e for m, e in mults if n % m == 0)
 
 
@@ -245,7 +213,7 @@ def stable_tate_dim(w: WeilPoly, k: int) -> tuple[int, int]:
     trivial ratio occurs).
     """
     _check_codim(w.d, k)
-    return _stable(_pairs(_normalize(w), k))
+    return _stable(_pairs(w, k))
 
 
 class TateRow(Record):
@@ -271,12 +239,11 @@ def tate_profile(w: WeilPoly, n_report: int | None = None) -> tuple[TateRow, ...
         raise BudgetExceededError(f"reports capped at n_max <= {N_REPORT_BUDGET}")
     if w.d > D_REPORT_BUDGET:
         raise BudgetExceededError(f"reports capped at dimension d <= {D_REPORT_BUDGET}")
-    u = _normalize(w)
     rows = []
     for k in range(w.d + 1):
         bound = degree_bound(w.d, k)
         n_max = n_report if n_report is not None else min(bound, DISPLAY_N_CAP)
-        mults = _pairs(u, k)
+        mults = _pairs(w, k)
         # dim(n) = sum over m | n of phi(m) e, sieved over the multiples of m
         dim = [0] * (n_max + 1)
         for m, e in mults:

@@ -190,11 +190,11 @@ def h_charpoly(w: WeilPoly, r: int) -> IntPoly:
     r-subset J is q^d / alpha_K over its complement K, and alpha -> q/alpha
     fixes the root multiset, so the roots are s = q^(r-d) times those of
     H^(2d-r) and H^r(T) = s^N Q_(2d-r)(T/s), whose T^i coefficient is
-    a_i s^(N-i); it is exact and cached per (w, r) like the direct route.  The characteristic
-    polynomial of the r-th compound (``polycore.compound_matrix``) of the
-    companion matrix (``companion`` in the tests' oracles) and the full
-    Newton recovery (``h_charpoly_full``, also there) give the same
-    polynomial and serve as the independent checks.
+    a_i s^(N-i); it is exact.  Both routes are cached on the coefficients of
+    w, r and q.  The characteristic polynomial of the r-th compound
+    (``polycore.compound_matrix``) of the companion matrix (``companion`` in
+    the tests' oracles) and the full Newton recovery (``h_charpoly_full``,
+    also there) give the same polynomial and serve as the independent checks.
 
     >>> h_charpoly(weil_from_trace(0, 5), 2)
     IntPoly('T - 5')

@@ -9,7 +9,7 @@ Newton's identities, where the library recovers half, mirrors the rest
 through the functional equation and takes r > d from the Poincare dual.
 ``unfiltered_scan`` divides the H^{2k} ratio polynomial built from it by
 every Phi_m of the totient-bounded set, with no pre-test, no Galois filter
-and no cache keyed on the normalized polynomial.
+and no cache shared with the library.
 ``ap_charsum`` counts points by Euler's criterion on the long Weierstrass
 model, with no Legendre table, no short model and no group law.
 ``companion`` and ``matrix_power`` build integer matrices, as lists of rows,

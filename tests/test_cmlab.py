@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from tatecycles.cmlab import (
     BudgetExceededError,
     EllipticCurve,
     InternalError,
+    SurveyRow,
     _ascending_primes,
     _cm_trace,
-    _exe_weil,
+    _exe_row,
     _li_offset,
     _pointcount,
     ap_cm,
@@ -38,9 +40,11 @@ from tatecycles.cmlab import (
     pi_K_count,
     primes_up_to,
 )
+from tatecycles.tate import stable_tate_dim, tate_dim
 from tatecycles.weil import product_variety, weil_from_trace
 
 CURVE_37A = EllipticCurve(0, 0, 1, -1, 0, label="37a")
+CURVE_11A = EllipticCurve(0, -1, 1, -10, -20, label="11a")
 CURVE_X3_PLUS_X = EllipticCurve(0, 0, 0, 1, 0)   # CM by the Gaussian order
 CURVE_X3_PLUS_1 = EllipticCurve(0, 0, 0, 0, 1)   # CM by the Eisenstein order
 
@@ -287,24 +291,45 @@ def test_supersingular_iff_inert():
 # E x E surveys
 
 def test_sieved_prime_step_matches_public_route():
-    # the survey's unchecked trace and E x E Weil polynomial against the
-    # checked ap_cm, weil_from_trace and product_variety
+    # the survey's unchecked trace against the checked ap_cm
     for D in CLASS_NUMBER_ONE_DISCS:
         for p in primes_up_to(10**4):
             if p in (2, 3) or D % p == 0:
                 continue
-            typ, a = ap_cm(D, p)
-            assert _cm_trace(D, p, kronecker_symbol(D, p)) == (typ, a), (D, p)
-            e = weil_from_trace(a, p)
-            assert _exe_weil(a, p) == product_variety(e, e), (D, p)
+            assert _cm_trace(D, p, kronecker_symbol(D, p)) == ap_cm(D, p), (D, p)
 
 
 def test_sieved_prime_step_keeps_hasse_check():
-    assert _exe_weil(4, 5) == product_variety(weil_from_trace(4, 5), weil_from_trace(4, 5))
+    assert _exe_row(5, None, "ordinary", 4) == SurveyRow(5, None, 4, "ordinary", 4, 4, 1)
     with pytest.raises(InternalError):
-        _exe_weil(5, 5)
+        _exe_row(5, None, "ordinary", 5)
     with pytest.raises(InternalError):
-        _exe_weil(-5, 5)
+        _exe_row(5, None, "ordinary", -5)
+
+
+def test_exe_row_matches_tate_oracle():
+    # the closed form from a^2/q against tate_dim and stable_tate_dim of
+    # E x E: the survey and noncm traces, and every trace over small prime
+    # powers, which alone reach a^2/q = 1 and 4
+    cases = set()
+    for D in CLASS_NUMBER_ONE_DISCS:
+        for p in primes_up_to(2 * 10**4):
+            if p not in (2, 3) and D % p:
+                cases.add((_cm_trace(D, p, kronecker_symbol(D, p))[1], p))
+    for E in (CURVE_37A, CURVE_11A, CURVE_X3_PLUS_X, CURVE_X3_PLUS_1):
+        for p in primes_up_to(10**4):
+            if (a := _pointcount(E, p)) is not None:
+                cases.add((a, p))
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 121):
+        cases.update((a, q) for a in range(-isqrt(4 * q), isqrt(4 * q) + 1))
+    degrees = set()
+    for a, q in sorted(cases):
+        e = weil_from_trace(a, q)
+        w = product_variety(e, e)
+        row = _exe_row(q, None, "ordinary", a)
+        assert (row.rank_base, row.rank_stable, row.stable_degree) == (tate_dim(w, 1, 1), *stable_tate_dim(w, 1)), (a, q)
+        degrees.add(row.stable_degree)
+    assert degrees == {1, 2, 3, 4, 6}
 
 
 def test_exe_survey_rows_examples():
@@ -352,9 +377,9 @@ def test_exe_survey_deterministic():
 
 
 def test_survey_probes_see_both_sweeps(monkeypatch):
-    # the benchmark's trace wraps these names on cmlab, so both sweeps must
-    # look them up there
-    callers = {name: set() for name in ("tate_dim", "stable_tate_dim", "primes_up_to")}
+    # the benchmark's trace wraps this name on cmlab, so both sweeps must
+    # look it up there
+    callers = {name: set() for name in ("primes_up_to",)}
     sweep = [None]
     for name in callers:
         def spy(*args, _name=name, _original=getattr(cmlab, name)):

@@ -13,10 +13,9 @@ from mpmath import mp
 from tatecycles.bounds import BoundReport, FieldParams
 from tatecycles.cmlab import DensityReport, EllipticCurve, NonCmReport, NonSplitResult, PiKResult, SurveyRow
 from tatecycles.polycore import IntPoly, Record
-from tatecycles.tate import TateRow, _Normalized
-from tatecycles.weil import WeilPoly, weil_from_trace
+from tatecycles.tate import TateRow
+from tatecycles.weil import WeilPoly
 
-_W = weil_from_trace(1, 5)
 _ROW = SurveyRow(5, -1, 0, "supersingular", 2, 6, 2)
 _BOUND = BoundReport("bound_B", (("N", "2"),), mp.mpf(3), 21)
 
@@ -24,7 +23,6 @@ _BOUND = BoundReport("bound_B", (("N", "2"),), mp.mpf(3), 21)
 SAMPLES = {
     IntPoly: ((5, -3, 1),),
     WeilPoly: (IntPoly([5, -1, 1]), 5, 5, 1),
-    _Normalized: ((1, 1, 5), _W),
     TateRow: (1, ((1, 2), (2, 2)), 2, 1, 2),
     FieldParams: (2, 1, "yes"),
     BoundReport: ("bound_B", (("N", "2"),), mp.mpf(3), 21),
@@ -121,8 +119,7 @@ def test_hash_is_the_hash_of_the_compared_fields(cls):
     record = cls(*SAMPLES[cls])
     assert cls.__eq__.__qualname__ == f"{cls.__name__}.__eq__"
     assert cls.__hash__.__qualname__ == f"{cls.__name__}.__hash__"
-    fields = ["key"] if cls is _Normalized else cls.__slots__
-    key = tuple(getattr(record, name) for name in fields)
+    key = tuple(getattr(record, name) for name in cls.__slots__)
     # a single compared field is its own key
     assert hash(record) == hash(key if len(key) > 1 else key[0])
 
@@ -157,12 +154,6 @@ def test_defaults():
     assert EllipticCurve(0, 0, 1, -1, 0).label == ""
 
 
-def test_normalized_compares_and_hashes_by_key_only():
-    a, b = _Normalized((1, 1, 5), _W), _Normalized((1, 1, 5), weil_from_trace(2, 7))
-    assert a == b and hash(a) == hash(b)
-    assert _Normalized((1, 4, 5), _W) != a
-
-
 def test_field_params_equality_ignores_numeric_type():
     assert FieldParams(2, 1) == FieldParams(2.0, 1.0)
     assert hash(FieldParams(2, 1)) == hash(FieldParams(2.0, 1.0))
@@ -173,5 +164,5 @@ def test_reprs_read_as_dataclass_reprs():
         "TateRow(k=1, dims=((1, 2), (2, 2)), stable_dim=2, min_stable_degree=1, degree_bound=2)"
     )
     assert repr(FieldParams(2, 1, "yes")) == "FieldParams(n_K=2, log_abs_disc=1, has_exceptional_zero='yes')"
-    assert repr(_Normalized((1, 1, 5), _W)) == "_Normalized(key=(1, 1, 5), w=WeilPoly(T^2 - T + 5, q=5, d=1))"
     assert repr(IntPoly([5, -3, 1])) == "IntPoly('T^2 - 3T + 5')"
+    assert repr(WeilPoly(*SAMPLES[WeilPoly])) == "WeilPoly(T^2 - T + 5, q=5, d=1)"

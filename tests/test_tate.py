@@ -5,7 +5,6 @@ import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
@@ -18,7 +17,7 @@ from oracles import (
     tate_dim_numeric,
     unfiltered_scan,
 )
-from tatecycles import polycore, tate
+from tatecycles import polycore
 from tatecycles.polycore import (
     BudgetExceededError,
     IntPoly,
@@ -35,7 +34,6 @@ from tatecycles.tate import (
     DISPLAY_N_CAP,
     N_REPORT_BUDGET,
     _cyclotomic_scan,
-    _normalize,
     _pairs,
     _unity_ratio_multiplicities,
     _witness_table,
@@ -45,7 +43,7 @@ from tatecycles.tate import (
     tate_profile,
     totient_bounded_set,
 )
-from tatecycles.weil import base_change, h_charpoly, product_variety, validate_weil, weil_from_trace
+from tatecycles.weil import base_change, product_variety, validate_weil, weil_from_trace
 
 
 def _supersingular_exe(q=5):
@@ -226,16 +224,15 @@ def test_scan_raises_past_d6():
 
 
 def test_scan_matches_unfiltered_division():
-    # the pair cache is shared by every w with the same normalized key, so the
-    # suite runs cold, then warm in reverse order, where every row is a hit
+    # the suite runs cold, then warm in reverse order, where every row is a
+    # hit of the pair cache
     suite = instance_suite(120, d_max=5, seed=24)
     _unity_ratio_multiplicities.cache_clear()
     for instances in (suite, suite[::-1]):
         misses = _unity_ratio_multiplicities.cache_info().misses
         for w in instances:
-            u = _normalize(w)
             for k in range(w.d + 1):
-                assert _pairs(u, k) == unfiltered_scan(w, k), (w, k)
+                assert _pairs(w, k) == unfiltered_scan(w, k), (w, k)
     assert _unity_ratio_multiplicities.cache_info().misses == misses
 
 
@@ -243,7 +240,7 @@ def test_scan_matches_unfiltered_division_on_cyclotomic_family():
     orders = set()
     for w in cyclotomic_suite(d_max=5):
         for k in range(w.d + 1):
-            mults = _pairs(_normalize(w), k)
+            mults = _pairs(w, k)
             assert mults == unfiltered_scan(w, k), (w, k)
             orders.update(m for m, _ in mults)
     assert max(orders) >= 90 and len(orders) > 30
@@ -264,7 +261,7 @@ def test_scan_finds_smallest_and_largest_allowed_orders():
 
 
 # ---------------------------------------------------------------------------
-# the pair cache, keyed on the normalized polynomial w(sqrt(q) T) / q^d
+# lifted and negated Weil polynomials: another w with the same pairs
 
 def _lift(w):
     """q^(2d) w(T / q) over q^3: every root times q, so every root over
@@ -278,58 +275,21 @@ def _negate(w):
     return validate_weil(IntPoly([-c if i % 2 else c for i, c in enumerate(w.poly.coeffs)]), w.q)
 
 
-def _normalized_coefficients(w):
-    """Each coefficient c_i / q^((2d - i)/2) of w(sqrt(q) T) / q^d, as its sign
-    and its exact square."""
-    top = w.poly.degree
-    return tuple(((c > 0) - (c < 0), Fraction(c * c, w.q ** (top - i))) for i, c in enumerate(w.poly.coeffs))
-
-
-def test_lift_is_served_from_the_cache(monkeypatch):
-    calls = []
-
-    def spy(w, r):
-        calls.append((w, r))
-        return h_charpoly(w, r)
-
-    monkeypatch.setattr(tate, "h_charpoly", spy)
+def test_lift_is_served_from_the_cache():
+    # the lift has the normalized polynomial of w, so the same profile
     for w in instance_suite(12, d_max=4, seed=30):
-        lifted = _lift(w)
-        assert _normalize(lifted) == _normalize(w)
-        profile = tate_profile(w)
-        hits = _unity_ratio_multiplicities.cache_info().hits
-        calls.clear()
-        assert tate_profile(lifted) == profile, w
-        assert _unity_ratio_multiplicities.cache_info().hits == hits + w.d + 1
-        assert calls == []
+        assert tate_profile(_lift(w)) == tate_profile(w), w
 
 
 def test_negated_odd_coefficients_miss_with_correct_pairs():
     # an even number of negated roots has the same product, so R_k and its
-    # pairs are those of w, yet the key tells the two apart
+    # pairs are those of w, though the two polynomials differ
     suite = [w for w in instance_suite(12, d_max=4, seed=31) if any(w.poly.coeffs[1::2])]
     assert len(suite) > 6
-    _unity_ratio_multiplicities.cache_clear()
-    for w in suite:
-        tate_profile(w)
     for w in suite:
         negated = _negate(w)
-        assert _normalize(negated) != _normalize(w)
-        misses = _unity_ratio_multiplicities.cache_info().misses
         for k in range(w.d // 2 + 1):
-            assert _pairs(_normalize(negated), k) == unfiltered_scan(negated, k) == unfiltered_scan(w, k), (w, k)
-        assert _unity_ratio_multiplicities.cache_info().misses == misses + w.d // 2 + 1
-
-
-def test_equal_keys_are_equal_normalized_polynomials():
-    suite = instance_suite(60, d_max=4, seed=32)
-    suite += [_lift(w) for w in suite] + [_negate(w) for w in suite[:20]]
-    by_key = {}
-    for w in suite:
-        by_key.setdefault(_normalize(w).key, set()).add(_normalized_coefficients(w))
-    assert len(by_key) < len(suite) - 50  # the lifts share their keys
-    assert all(len(polys) == 1 for polys in by_key.values())
-    assert len({polys.pop() for polys in by_key.values()}) == len(by_key)
+            assert _pairs(negated, k) == unfiltered_scan(negated, k) == unfiltered_scan(w, k), (w, k)
 
 
 def test_profiles_from_threads_match_serial():
