@@ -10,7 +10,8 @@ the Cornacchia representation 4p = x^2 + |D| y^2; only |a_p| is used, since
 all of the degree-2 eigenvalue products feeding the E x E ranks are
 invariant under negating both H^1 roots.  Traces of other curves count
 E(F_p): for p >= 5 by baby-step giant-step on point orders, certified by
-the Hasse bound, and otherwise by a character sum.
+the Hasse bound, mostly from one scan that finds the only multiple of a
+point's order in the interval, and otherwise by a character sum.
 
 The survey loops take their primes from a sieve, so ``_cm_trace`` and
 ``_pointcount`` run no primality test; the public ``ap_cm`` and
@@ -342,12 +343,15 @@ def _bsgs_trace(E: EllipticCurve, p: int) -> int | None:
     or None if BSGS_MAX_POINTS points do not pin it.
 
     Works on the short model y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to E
-    over F_p.  For each point P = (x, y), x = 0, 1, ..., baby-step giant-step
-    finds N with [N]P = O among the multiples of L (the lcm of the orders so
-    far) in the Hasse interval; one scalar multiplication confirms it, and N
-    is cut down to ord(P) over its prime factors.  #E(F_p) is a multiple of
-    L in the interval, so once exactly one multiple lies there, that is
-    #E(F_p).  A point whose order divides L costs one multiplication.
+    over F_p.  #E(F_p) is a multiple of L (the lcm of the orders so far) in
+    the Hasse interval.  For each point P = (x, y), x = 0, 1, ..., the
+    baby-step giant-step scan of R = [L]P finds j with [jL]P = O among the
+    multiples jL in the interval, and one scalar multiplication confirms it.
+    If the scan certifies j as the only one, jL is the only multiple of
+    lcm(L, ord P) there, so it is #E(F_p).  Otherwise jL is cut down to
+    ord(P) over its prime factors, and once exactly one multiple of
+    L = lcm(L, ord P) lies in the interval, that is #E(F_p).  A point whose
+    order divides L costs one multiplication.
     """
     b2, b4, b6, _ = E.b_invariants()
     A = -27 * (b2 * b2 - 24 * b4) % p
@@ -370,9 +374,12 @@ def _bsgs_trace(E: EllipticCurve, p: int) -> int | None:
         R = _ec_mul(P, L, A, p)
         if R is None:
             continue
-        N = L * _bsgs_multiple(R, -(-lo // L), hi // L, A, p)
+        j, unique = _bsgs_multiple(R, -(-lo // L), hi // L, A, p)
+        N = L * j
         if _ec_mul(P, N, A, p) is not None:
             raise InternalError(f"[{N}]P != O on y^2 = x^3 + {A}x + {B} mod {p}")
+        if unique:
+            return p + 1 - N
         for q, _ in factorization(N):
             while N % q == 0 and _ec_mul(P, N // q, A, p) is None:
                 N //= q
@@ -385,30 +392,51 @@ def _bsgs_trace(E: EllipticCurve, p: int) -> int | None:
     return None
 
 
-def _bsgs_multiple(R, low: int, high: int, A: int, p: int) -> int:
-    """Some j >= 1 with [j]R = O.  Baby steps [i]R, 1 <= i <= m, and giant
-    steps [s]R, s = low + m, low + 3m + 1, ..., matched by x as
-    [s]R = +-[i]R, try every j in [low, high]; InternalError if none works."""
+def _bsgs_multiple(R, low: int, high: int, A: int, p: int) -> tuple[int, bool]:
+    """(j, unique): some j >= 1 with [j]R = O, and whether it is certified
+    to be the only one in [low, high].
+
+    Baby steps [i]R, 1 <= i <= m, are keyed by x.  If one of them or [m+1]R
+    is O, or [m+1]R shares an x with one, then ord(R) <= 2m + 1; that gives
+    j, not unique.  Otherwise ord(R) > 2m + 1, the baby x's are distinct,
+    and a window [s - m, s + m] holds at most one j, seen as [s]R = O or as
+    [s]R = +-[i]R with one sign.  The giant steps [s]R = [k]G at the
+    multiples s = k(2m + 1), G = [m]R + [m+1]R, from the window that holds
+    low to the one that holds high, meet every j in [low, high] once: j is
+    unique unless a second one turns up.  InternalError if none does.
+    """
     m = max(1, isqrt(high - low + 1) // 2)
     baby = {}
     T = R
     for i in range(1, m + 1):
         if T is None:
-            return i
+            return i, False
         baby.setdefault(T[0], (i, T[1]))
-        T = _ec_add(T, R, A, p)
-    step = _ec_mul(R, 2 * m + 1, A, p)
-    s = low + m
-    S = _ec_mul(R, s, A, p)
+        U, T = T, _ec_add(T, R, A, p)
+    if T is None:
+        return m + 1, False
+    if T[0] in baby:
+        i, y = baby[T[0]]
+        return (m + 1 - i if T[1] == y else m + 1 + i), False
+    G = _ec_add(U, T, A, p)
+    found = None
+    k = (low + m) // (2 * m + 1)
+    s = k * (2 * m + 1)
+    S = _ec_mul(G, k, A, p)
     while s - m <= high:
-        if S is None:
-            return s
-        if S[0] in baby:
+        j = s if S is None else None
+        if S is not None and S[0] in baby:
             i, y = baby[S[0]]
-            return s - i if S[1] == y else s + i
-        S = _ec_add(S, step, A, p)
+            j = s - i if S[1] == y else s + i
+        if j is not None and low <= j <= high:
+            if found is not None:
+                return found, False
+            found = j
+        S = _ec_add(S, G, A, p)
         s += 2 * m + 1
-    raise InternalError(f"no j in [{low}, {high}] with [j]R = O mod {p}")
+    if found is None:
+        raise InternalError(f"no j in [{low}, {high}] with [j]R = O mod {p}")
+    return found, True
 
 
 def ap_cm(D: int, p: int) -> tuple[str, int]:

@@ -203,6 +203,95 @@ def test_pointcount_takes_both_routes(monkeypatch):
     assert answered["bsgs"] > 0 and answered["charsum"] > 0, answered
 
 
+def _spy_on_scans(monkeypatch):
+    # records each _bsgs_multiple call as (low, high, (j, unique))
+    calls = []
+
+    def multiple(R, low, high, A, p, _original=cmlab._bsgs_multiple):
+        result = _original(R, low, high, A, p)
+        calls.append((low, high, result))
+        return result
+
+    monkeypatch.setattr(cmlab, "_bsgs_multiple", multiple)
+    return calls
+
+
+def test_pointcount_routes_to_3000(monkeypatch):
+    # each good prime p >= 5 is decided by the complete scan (its last scan
+    # certified a unique j), by the order cut after a scan that did not, or
+    # by the character sum; all three answer, and all agree with Euler
+    calls = _spy_on_scans(monkeypatch)
+    traces = []
+
+    def bsgs(E, p, _original=cmlab._bsgs_trace):
+        calls.clear()
+        traces.append(_original(E, p))
+        return traces[-1]
+
+    monkeypatch.setattr(cmlab, "_bsgs_trace", bsgs)
+    routes = {"scan": 0, "cut": 0, "charsum": 0}
+    for E in _oracle_curves():
+        for p in primes_up_to(3000)[2:]:
+            traces.clear()
+            assert _pointcount(E, p) == ap_charsum(E, p), (E, p)
+            if traces:
+                route = "charsum" if traces[0] is None else "scan" if calls[-1][2][1] else "cut"
+                routes[route] += 1
+    assert all(routes.values()), routes
+
+
+def test_pointcount_two_kills_in_one_window(monkeypatch):
+    # y^2 = x^3 + x at p = 137: the third point gives L = 20 and R of order 2
+    # on [6, 8], where m = 1 and both 6 and 8 kill R in the one window; [2]R
+    # = O marks it not unique (taking 6 as the only kill gave a_p = 18)
+    calls = _spy_on_scans(monkeypatch)
+    assert _pointcount(CURVE_X3_PLUS_X, 137) == ap_charsum(CURVE_X3_PLUS_X, 137) == -22
+    assert (6, 8, (2, False)) in calls
+
+
+def _points_by_order(max_order):
+    # one point of each order 2..max_order as (point, A, p): the first found
+    # on y^2 = x^3 + Ax + B over the primes from 5 up, by repeated addition
+    found = {}
+    for p in primes_up_to(2 * max_order)[2:]:
+        for A, B in itertools.product(range(p), repeat=2):
+            if (4 * A**3 + 27 * B * B) % p == 0:
+                continue
+            for x, y in itertools.product(range(p), repeat=2):
+                if (y * y - x**3 - A * x - B) % p == 0:
+                    T, n = (x, y), 1
+                    while T is not None:
+                        T, n = cmlab._ec_add(T, (x, y), A, p), n + 1
+                    found.setdefault(n, ((x, y), A, p))
+            if all(n in found for n in range(2, max_order + 1)):
+                return {n: found[n] for n in range(2, max_order + 1)}
+    raise AssertionError(f"orders {sorted(found)} only")
+
+
+def test_bsgs_multiple_unique_only_above_window():
+    # m = max(1, isqrt(width) // 2) baby steps; an order up to 2m + 1 is never
+    # unique, and above it the scan certifies exactly the one multiple of the
+    # order in [low, high] (and finds none where there is none), from every
+    # residue of low and from low <= m, where the first giant step is [0]R
+    for n, (R, A, p) in sorted(_points_by_order(40).items()):
+        for width in (1, 3, 4, 9, 16, 25, 36, 49, 64):
+            m = max(1, isqrt(width) // 2)
+            for low in range(1, 1 + 2 * n):
+                high = low + width - 1
+                multiples = [j for j in range(low, high + 1) if j % n == 0]
+                if n > 2 * m + 1 and not multiples:
+                    with pytest.raises(InternalError):
+                        cmlab._bsgs_multiple(R, low, high, A, p)
+                    continue
+                j, unique = cmlab._bsgs_multiple(R, low, high, A, p)
+                assert j >= 1 and j % n == 0, (n, width, low, j)
+                if n <= 2 * m + 1:
+                    assert not unique, (n, width, low)
+                else:
+                    assert unique == (len(multiples) == 1), (n, width, low)
+                    assert j in multiples, (n, width, low, j)
+
+
 def test_pointcount_rejects_a_wrong_square_root(monkeypatch):
     root = cmlab._sqrt_mod_p
     monkeypatch.setattr(cmlab, "_sqrt_mod_p", lambda a, p: (root(a, p) + 1) % p)
