@@ -426,13 +426,13 @@ def bound_C(
     _check_precision(precision_bits)
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if d > C_MAX_DIMENSION:
-        raise BudgetExceededError(f"C capped at d <= {C_MAX_DIMENSION}")
     p = precision_bits
     ldf, c_p, c1_p = (mp.mpf(x, prec=p) for x in (log_d_F, c, c1))
     for value, name in ((ldf, "log |d_F|"), (c_p, "c"), (c1_p, "c1")):
         if value <= 0:
             raise ValueError(f"{name} must be positive")
+    if d > C_MAX_DIMENSION:
+        raise BudgetExceededError(f"C capped at d <= {C_MAX_DIMENSION}")
     n_prime = mp.fmul(2 ** (4 * d), factorial(2 * d + 1), prec=p)
     n_prime = mp.fmul(mp.fmul(n_prime, mp.mpf(N, prec=p), prec=p), ldf, prec=p)
     log_b, fk, bits = _log_B(n_prime, fp, factorial(2 * d), 2 ** (2 * d), p)

@@ -39,7 +39,7 @@ class VerifyMismatchError(Exception):
     pass
 
 
-def _report(command: str, inputs: dict, rows: list, precision_bits: int | None = None) -> dict:
+def _report(command: str, inputs: dict, rows, precision_bits: int | None = None) -> dict:
     meta = {"version": __version__}
     if precision_bits is not None:
         meta["precision_bits"] = precision_bits
@@ -221,11 +221,8 @@ def _bounds_B(bounds, args) -> dict:
 
 def _bounds_C(bounds, args) -> dict:
     fp = _field_params(bounds, args)
-    for flag in ("c", "c1"):
-        if bounds.parse_real(getattr(args, flag), "--" + flag, args.precision) <= 0:
-            raise ValueError(f"--{flag} must be positive, got {getattr(args, flag)!r}")
-    N, log_df = _real(bounds, args, "N"), _real(bounds, args, "log_df")
-    return bounds.bound_C(N, args.d, log_df, fp, args.c, args.c1, precision_bits=args.precision).to_record()
+    N, log_df, c, c1 = (_real(bounds, args, name) for name in ("N", "log_df", "c", "c1"))
+    return bounds.bound_C(N, args.d, log_df, fp, c, c1, precision_bits=args.precision).to_record()
 
 
 _FIELD_INPUTS = ("nk", "log_dk", "exceptional")
@@ -291,26 +288,19 @@ def cmd_cm(args) -> dict:
     if getattr(args, "pmax", 0) < 0:
         raise ValueError(f"--pmax must be nonnegative, got {args.pmax}")
     if args.subcommand == "survey":
-        records, density = cmlab.exe_survey(args.disc, args.pmax)
-        for i, row in enumerate(records):
-            records[i] = row.to_record()  # each row is freed as its record is made
-        records.append({"density": density.to_record()})
+        rows = _records(cmlab._survey_sweep(args.disc, args.pmax), lambda d: {"density": d.to_record()})
         inputs = {"disc": args.disc, "pmax": args.pmax}
-        return _report("cm survey", inputs, records)
+        return _report("cm survey", inputs, rows)
     if args.subcommand == "noncm":
         curve = cmlab.EllipticCurve.parse(args.curve)
-        rep = cmlab.noncm_rank_check(curve, args.pmax)
-        records = [r.to_record() for r in rep.rows]
-        records.append(
-            {
-                "summary": {
-                    "all_rank_base_4": rep.all_rank_base_4,
-                    "exceptional_primes": list(rep.exceptional_primes),
-                }
-            }
+        rows = _records(
+            cmlab._noncm_sweep(curve, args.pmax),
+            lambda rep: {
+                "summary": {"all_rank_base_4": rep.all_rank_base_4, "exceptional_primes": list(rep.exceptional_primes)}
+            },
         )
         inputs = {"curve": args.curve, "pmax": args.pmax}
-        return _report("cm noncm", inputs, records)
+        return _report("cm noncm", inputs, rows)
     if args.subcommand == "nonsplit":
         bounds.parse_real(args.c, "--c")  # the text goes on, for the bound to read at each precision it uses
         res = cmlab.least_nonsplit_search(args.disc, c=args.c)
@@ -328,6 +318,16 @@ def cmd_cm(args) -> dict:
         res = cmlab.pi_K_count(args.disc, args.x)
         inputs = {"disc": args.disc, "x": args.x}
         return _report("cm pik", inputs, [res.to_record()])
+
+
+def _records(sweep, last):
+    """The records of a sweep's rows as they arrive, then last() of its
+    final item: a one-shot iterator, which _emit writes as a list."""
+    item = next(sweep)
+    for following in sweep:
+        yield item.to_record()
+        item = following
+    yield last(item)
 
 
 def _human_cm(report: dict) -> None:
@@ -447,7 +447,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
-        report = args.run(args)
+        # a sweep's rows are computed as _emit writes them, so both are inside
+        _emit(args.run(args), getattr(args, "json", False), args.human)
     except (PolyFormatError, weil.WeilValidationError, ValueError) as exc:
         print(f"{exc}", file=sys.stderr)
         if isinstance(exc, weil.WeilValidationError):
@@ -459,7 +460,6 @@ def main(argv=None) -> int:
     except (InternalError, VerifyMismatchError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(report, getattr(args, "json", False), args.human)
     if not getattr(args, "json", False):
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return EXIT_OK

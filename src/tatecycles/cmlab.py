@@ -13,18 +13,19 @@ E(F_p): for p >= 5 by baby-step giant-step on point orders, certified by
 the Hasse bound, mostly from one scan that finds the only multiple of a
 point's order in the interval, and otherwise by a character sum.
 
-The survey loops take their primes from a sieve, so ``_cm_trace`` and
-``_pointcount`` run no primality test; the public ``ap_cm`` and
-``ap_pointcount`` keep every check and call the same trace kernels.  Both
-surveys build each good row through ``_exe_row``, which reads the E x E
-ranks off a^2/p (Niven's theorem) with no Weil polynomial, and read their
-counts off the finished rows.
+The survey loops take their primes from a segmented sieve, so
+``_cm_trace`` and ``_pointcount`` run no primality test; the public
+``ap_cm`` and ``ap_pointcount`` keep every check and call the same trace
+kernels.  Both surveys build each good row through ``_exe_row``, which reads
+the E x E ranks off a^2/p (Niven's theorem) with no Weil polynomial, and
+keep their counts as the rows pass, so the rows can be written as they are
+made.  ``pi_K_count`` counts split primes off the same segments by residue
+class.  No sweep's memory grows with its range.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from functools import lru_cache
 from math import isqrt, lcm, prod
 
@@ -68,6 +69,7 @@ BSGS_MAX_POINTS = 6  # points a certified count tries before the character sum
 SURVEY_BUDGET = 10**7
 NONCM_BUDGET = 10**4
 PIK_BUDGET = 10**8
+SIEVE_SEGMENT = 1 << 17  # bytes sieved at a time above sqrt(x): the sweeps' memory
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,38 @@ def primes_up_to(n: int) -> list[int]:
             start = p * p
             sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
     return list(itertools.compress(range(n + 1), sieve))
+
+
+def _segments(x: int, base: list[int], align: int = 1):
+    """(start, seg) pairs that sieve (isqrt(x), x] a segment at a time:
+    seg[i] is 1 exactly when start + i is a prime above isqrt(x).
+
+    ``base`` is primes_up_to(isqrt(x)).  Each segment starts at a multiple of
+    ``align`` (at most SIEVE_SEGMENT) and, but the last, spans a multiple of
+    it, at most SIEVE_SEGMENT bytes; the entries below isqrt(x) + 1 in the
+    first segment are 0.
+    """
+    lo = isqrt(x) + 1
+    step = SIEVE_SEGMENT - SIEVE_SEGMENT % align
+    for start in range(lo - lo % align, x + 1, step):
+        n = min(step, x + 1 - start)
+        seg = bytearray(b"\x01") * n
+        if start < lo:
+            seg[:lo - start] = bytes(lo - start)
+        for p in base:
+            first = max(p * p, -(-start // p) * p) - start
+            if first < n:
+                seg[first::p] = bytes((n - 1 - first) // p + 1)
+        yield start, seg
+
+
+def _primes_through(x: int):
+    """Every prime <= x in ascending order, the base primes from
+    primes_up_to(isqrt(x)) and the rest one sieve segment at a time."""
+    base = primes_up_to(isqrt(x))
+    yield from base
+    for start, seg in _segments(x, base):
+        yield from itertools.compress(range(start, start + len(seg)), seg)
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -182,9 +216,10 @@ def _sqrt_mod_p(a: int, p: int) -> int:
     while t % 2 == 0:
         t //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
+    z = 2  # a non-residue: 2 is one when p = 5 mod 8
+    if p % 8 == 1:
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
     g = pow(z, t, p)
     x = pow(a, (t + 1) // 2, p)
     b = pow(a, t, p)
@@ -535,29 +570,51 @@ def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
 
     Good primes (p >= 5, p not dividing D) get exact ranks over the prime
     field and over the algebraic closure; p = 2, 3 and divisors of D are
-    excluded from the density denominators.
+    excluded from the density denominators.  The list of what
+    ``_survey_sweep`` yields one at a time.
+    """
+    *rows, density = _survey_sweep(D, p_max)
+    return rows, density
+
+
+def _survey_sweep(D: int, p_max: int):
+    """exe_survey's rows one at a time, then its DensityReport.
+
+    The input is checked at the call.  The rows are made as they are taken,
+    from one sieve segment at a time, and the density counts are kept as
+    they pass, so memory does not grow with p_max.
     """
     if D not in CLASS_NUMBER_ONE_DISCS:
         raise ValueError(f"D must be one of {CLASS_NUMBER_ONE_DISCS}")
     if p_max > SURVEY_BUDGET:
         raise BudgetExceededError(f"survey capped at p_max <= {SURVEY_BUDGET}")
-    rows = []
-    for p in primes_up_to(p_max):
+    return _survey_rows(D, p_max)
+
+
+def _survey_rows(D: int, p_max: int):
+    split = inert = excluded = stable_6 = 0
+    for p in _primes_through(p_max):
         chi = kronecker_symbol(D, p)  # D is fundamental and p prime
         if p in (2, 3) or D % p == 0:
-            rows.append(SurveyRow(p, chi, None, "bad-or-excluded", None, None, None))
+            excluded += 1
+            yield SurveyRow(p, chi, None, "bad-or-excluded", None, None, None)
+            continue
+        row = _exe_row(p, chi, *_cm_trace(D, p, chi))
+        if chi == 1:
+            split += 1
         else:
-            rows.append(_exe_row(p, chi, *_cm_trace(D, p, chi)))
-    good = [r for r in rows if r.a_p is not None]  # a_p is 0 at inert primes
-    split = sum(r.kronecker == 1 for r in good)
-    by_type = (("split", split), ("inert", len(good) - split))
+            inert += 1
+        stable_6 += row.rank_stable == 6
+        yield row
+    good = split + inert
+    by_type = (("split", split), ("inert", inert))
     counts = by_type + (
-        ("excluded", len(rows) - len(good)),
-        ("rank_stable_4", sum(r.rank_stable == 4 for r in good)),
-        ("rank_stable_6", sum(r.rank_stable == 6 for r in good)),
+        ("excluded", excluded),
+        ("rank_stable_4", good - stable_6),
+        ("rank_stable_6", stable_6),
     )
-    fractions = tuple((name, n / len(good) if good else 0.0) for name, n in by_type)
-    return rows, DensityReport(p_max=p_max, counts=counts, fractions=fractions)
+    fractions = tuple((name, n / good if good else 0.0) for name, n in by_type)
+    yield DensityReport(p_max=p_max, counts=counts, fractions=fractions)
 
 
 class NonCmReport(Record):
@@ -571,21 +628,31 @@ def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
     """Check that E x E has Tate rank exactly 4 over every good prime field
     p <= p_max, and report the sporadic primes whose stable rank exceeds 4
     (root-of-unity eigenvalue ratios, possible at tiny primes)."""
+    *rows, summary = _noncm_sweep(E, p_max)
+    return NonCmReport(tuple(rows), summary.all_rank_base_4, summary.exceptional_primes)
+
+
+def _noncm_sweep(E: EllipticCurve, p_max: int):
+    """noncm_rank_check's rows one at a time, then its summary as a
+    NonCmReport with no rows; the input is checked at the call."""
     if p_max > NONCM_BUDGET:
         raise BudgetExceededError(f"non-CM sweep capped at p_max <= {NONCM_BUDGET}")
-    rows = []
-    for p in primes_up_to(p_max):
+    return _noncm_rows(E, p_max)
+
+
+def _noncm_rows(E: EllipticCurve, p_max: int):
+    all_rank_base_4, exceptional = True, []
+    for p in _primes_through(p_max):
         a = _pointcount(E, p)
         if a is None:
-            rows.append(SurveyRow(p, None, None, "bad", None, None, None))
-        else:
-            rows.append(_exe_row(p, None, "supersingular" if a % p == 0 else "ordinary", a))
-    good = [r for r in rows if r.a_p is not None]  # a_p may be 0
-    return NonCmReport(
-        rows=tuple(rows),
-        all_rank_base_4=all(r.rank_base == 4 for r in good),
-        exceptional_primes=tuple(r.p for r in good if r.rank_stable > 4),
-    )
+            yield SurveyRow(p, None, None, "bad", None, None, None)
+            continue
+        row = _exe_row(p, None, "supersingular" if a % p == 0 else "ordinary", a)
+        all_rank_base_4 &= row.rank_base == 4
+        if row.rank_stable > 4:
+            exceptional.append(p)
+        yield row
+    yield NonCmReport(rows=(), all_rank_base_4=all_rank_base_4, exceptional_primes=tuple(exceptional))
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +734,16 @@ def pi_K_count(D: int, x: int) -> PiKResult:
 
     Split rational primes p <= x contribute two ideals of norm p, ramified
     primes one, and inert primes one ideal of norm p^2 (counted when
-    p^2 <= x).  For a fundamental D the symbol (D|p) depends only on
-    p mod |D|, so when |D| is at most the number of primes <= x it is read
-    from a table of (D|r) for r < |D|; otherwise each prime gets its own
-    symbol, so no table costs more symbols than the primes do.
+    p^2 <= x).  The primes up to sqrt(x) each get their symbol, the ramified
+    ones above it come from the factorization of |D|, and the split ones
+    above it are counted off a segmented sieve, with no list of them built.
+    For a fundamental D the symbol (D|p) depends only on p mod |D|.  When a
+    table of the |D| symbols costs fewer symbols than the primes do and
+    |D| <= SIEVE_SEGMENT, the segments are aligned to multiples of |D|: with
+    few split classes r, the set bytes of seg[r::|D|] are counted; with many,
+    each prime is weighted by its class through itertools.compress.
+    Otherwise each prime gets its own symbol.  Memory stays near
+    SIEVE_SEGMENT bytes whatever x is.
 
     >>> pi_K_count(-4, 10).count
     4
@@ -679,15 +752,28 @@ def pi_K_count(D: int, x: int) -> PiKResult:
         raise ValueError(f"{D} is not a fundamental discriminant")
     if x > PIK_BUDGET:
         raise BudgetExceededError(f"prime-ideal counting capped at x <= {PIK_BUDGET}")
-    primes = primes_up_to(x)
-    m = abs(D)
-    if m <= len(primes):
-        table = [kronecker_symbol(D, r) for r in range(m)]
-        chis = [table[p % m] for p in primes]
+    m, r = abs(D), isqrt(x)
+    base = primes_up_to(r)
+    # p <= sqrt(x): two ideals if p splits, else one (of norm p or p^2 <= x)
+    count = sum(2 if kronecker_symbol(D, p) == 1 else 1 for p in base)
+    count += sum(r < q <= x for q, _ in factorization(m))  # ramified above sqrt(x)
+    split = []  # the split classes mod m, if a table pays; 1 is always one
+    if m <= SIEVE_SEGMENT and m * x.bit_length() < x:  # m below about pi(x)
+        split = [c for c in range(m) if kronecker_symbol(D, c) == 1]
+    if split and len(split) * 32 <= SIEVE_SEGMENT:  # a slice per class pays for itself
+        for _, seg in _segments(x, base, m):
+            count += 2 * sum(seg[c::m].count(1) for c in split)
+    elif split:
+        weights = bytearray(m)
+        for c in split:
+            weights[c] = 1
+        weights *= SIEVE_SEGMENT // m
+        for _, seg in _segments(x, base, m):
+            count += 2 * sum(itertools.compress(weights, seg))
     else:
-        chis = [kronecker_symbol(D, p) for p in primes]
-    small = bisect_right(primes, isqrt(x))
-    count = 2 * chis.count(1) + chis.count(0) + chis[:small].count(-1)
+        for start, seg in _segments(x, base):
+            primes = itertools.compress(range(start, start + len(seg)), seg)
+            count += 2 * sum(kronecker_symbol(D, p) == 1 for p in primes)
     li = _li_offset(x) if x >= 2 else float("-inf")
     ratio = count / li if li > 0 else None
     return PiKResult(D=D, x=x, count=count, li_x=li, ratio=ratio)

@@ -6,11 +6,15 @@ and its pieces more than double the memory the report itself takes.  This
 writer gives byte-identical text for the report schema, encodes scalars by a
 lookup on their exact type, memoises the ``"key": `` prefixes and indents,
 and hands the text to the stream in chunks of whole list elements (rows).
+A one-shot iterator may stand for a list, so a sweep's rows are made as they
+are written and never held all at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 __all__ = ["write_json"]
@@ -36,11 +40,13 @@ def write_json(obj, write) -> None:
     """Write ``json.dumps(obj, indent=2) + "\\n"`` through ``write``, in chunks.
 
     ``obj`` is a report: a dict or a list, holding dicts with str keys,
-    lists, str, int, bool and None, each of exactly that type.  Anything
-    else (a float, a tuple, a non-str key, a subclass) raises TypeError, and
-    text written before it stays written.  The report is written as it is
-    encoded: memory holds the pieces of about one chunk of rows, not the
-    whole text.
+    lists, str, int, bool and None, each of exactly that type.  Below the
+    top level, a one-shot iterator may stand where a list goes: it is
+    written as the list of its items, each taken as the text reaches it, so
+    rows can be made as they are written.  Anything else (a float, a tuple,
+    a non-str key, a subclass) raises TypeError, and text written before it
+    stays written.  The report is written as it is encoded: memory holds
+    the pieces of about one chunk of rows, not the whole text.
 
     >>> import io, json
     >>> report = {"rows": [{"n": 1, "dim": 2}], "x": ["0.5", None, True], "e": {}}
@@ -104,6 +110,9 @@ def _write_container(o, level: int, parts: list, keys: dict, write) -> None:
             elif type(value) is list or type(value) is dict:
                 append(prefix + key_text)
                 _write_container(value, level + 1, parts, keys, write)
+            elif isinstance(value, Iterator):
+                append(prefix + key_text)
+                _write_iterator(value, level + 1, parts, keys, write)
             else:
                 raise _not_in_schema(value)
             prefix = separator
@@ -117,6 +126,9 @@ def _write_container(o, level: int, parts: list, keys: dict, write) -> None:
             elif type(value) is list or type(value) is dict:
                 append(prefix)
                 _write_container(value, level + 1, parts, keys, write)
+            elif isinstance(value, Iterator):
+                append(prefix)
+                _write_iterator(value, level + 1, parts, keys, write)
             else:
                 raise _not_in_schema(value)
             prefix = separator
@@ -124,3 +136,12 @@ def _write_container(o, level: int, parts: list, keys: dict, write) -> None:
                 write("".join(parts))
                 parts.clear()
         append(list_close)
+
+
+def _write_iterator(it, level: int, parts: list, keys: dict, write) -> None:
+    """Append the text of a one-shot iterator's items as a list, consuming
+    it as the list is written."""
+    for first in it:
+        _write_container(chain((first,), it), level, parts, keys, write)
+        return
+    parts.append("[]")

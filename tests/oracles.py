@@ -15,6 +15,8 @@ model, with no Legendre table, no short model and no group law.
 ``companion`` and ``matrix_power`` build integer matrices, as lists of rows,
 whose ``polycore.charpoly`` (of a ``polycore.compound_matrix`` for H^r)
 checks the power-sum routes of ``h_charpoly`` and ``base_change``.
+``pi_K_per_prime`` counts prime ideals from the list of every prime up to x
+and one Kronecker symbol each, with no segments and no residue classes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from math import comb
 import mpmath
 from mpmath import mp
 
+from tatecycles.cmlab import kronecker_symbol, primes_up_to
 from tatecycles.polycore import (
     IntPoly,
     _newton_coefficients,
@@ -126,6 +129,20 @@ def unfiltered_scan(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
 def _divide_by_every_cyclotomic(R: IntPoly) -> tuple[tuple[int, int], ...]:
     mults = ((m, cyclotomic_multiplicity(R, m)) for m in totient_bounded_set(R.degree))
     return tuple((m, e) for m, e in mults if e)
+
+
+def pi_K_per_prime(D: int, x: int) -> int:
+    """Prime ideals of Q(sqrt(D)) of norm <= x, one prime at a time."""
+    count = 0
+    for p in primes_up_to(x):
+        chi = kronecker_symbol(D, p)
+        if chi == 1:
+            count += 2
+        elif chi == 0:
+            count += 1
+        elif p * p <= x:
+            count += 1
+    return count
 
 
 def ap_charsum(E, p: int) -> int | None:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
-from oracles import ap_charsum
+from oracles import ap_charsum, pi_K_per_prime
 from tatecycles import cmlab
 from tatecycles.cmlab import (
     CLASS_NUMBER_ONE_DISCS,
@@ -290,6 +291,20 @@ def test_bsgs_multiple_unique_only_above_window():
                 else:
                     assert unique == (len(multiples) == 1), (n, width, low)
                     assert j in multiples, (n, width, low, j)
+
+
+def test_sqrt_mod_p_matches_brute_force():
+    # every a mod p, p < 2000: a root of each square, ValueError for the rest
+    for p in primes_up_to(2000)[1:]:
+        roots = {}
+        for y in range(p):
+            roots.setdefault(y * y % p, y)
+        for a in range(p):
+            if a in roots:
+                assert cmlab._sqrt_mod_p(a, p) ** 2 % p == a, (a, p)
+            else:
+                with pytest.raises(ValueError):
+                    cmlab._sqrt_mod_p(a, p)
 
 
 def test_pointcount_rejects_a_wrong_square_root(monkeypatch):
@@ -622,30 +637,82 @@ def test_pi_K_against_direct_ideal_enumeration():
     assert pi_K_count(-4, x).count == count
 
 
-def _pi_K_per_prime(D, x):
-    count = 0
-    for p in primes_up_to(x):
-        chi = kronecker_symbol(D, p)
-        if chi == 1:
-            count += 2
-        elif chi == 0:
-            count += 1
-        elif p * p <= x:
-            count += 1
-    return count
-
-
 def test_pi_K_table_matches_per_prime_symbols():
-    # x on both sides of the switch to the character table, which is taken
-    # when |D| is at most the number of primes <= x: x = 5000 has 669 primes,
-    # x near |D| fewer than |D|, and the |D|-th prime p has exactly |D| primes
-    # up to it and |D| - 1 up to p - 1
+    # x on both sides of the rule that lets a table of the |D| symbols (and
+    # segments aligned to |D|) stand for the primes' own symbols: x = 5000 has
+    # 669 primes, x near |D| fewer than |D|, and the |D|-th prime p has
+    # exactly |D| primes up to it and |D| - 1 up to p - 1
     primes = primes_up_to(10**4)
     for D in fundamental_discriminants(300):
         m = abs(D)
         p = primes[m - 1]
         for x in sorted({1, 2, 3, m - 1, m, m + 1, p - 1, p, 5000}):
-            assert pi_K_count(D, x).count == _pi_K_per_prime(D, x), (D, x)
+            assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
+
+
+def _split_classes(D):
+    return sum(kronecker_symbol(D, r) == 1 for r in range(abs(D)))
+
+
+def test_pi_K_at_segment_and_alignment_boundaries():
+    # x = kS - 1, kS, kS + 1, and the ends of the segments aligned to |D|,
+    # which start at the multiple of |D| below isqrt(x) + 1 and step by the
+    # largest multiple of |D| up to S
+    S = cmlab.SIEVE_SEGMENT
+    for D in (-4, -3, 5, -163, 7989):
+        m = abs(D)
+        xs = {k * S + j for k in (1, 2) for j in (-1, 0, 1)}
+        for x in (S, 2 * S):
+            lo = isqrt(x) + 1
+            end = lo - lo % m + (S - S % m)
+            xs |= {end - 1, end, end + 1, end + S - S % m}
+        for x in sorted(xs):
+            assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
+
+
+def test_pi_K_at_the_inert_boundary():
+    # an inert p counts once x reaches p^2, which is where p joins the base
+    # primes up to isqrt(x)
+    for D, p in ((-4, 3), (-4, 7), (-4, 419), (-3, 5), (-3, 467), (5, 7), (-163, 2), (-163, 389)):
+        assert kronecker_symbol(D, p) == -1, (D, p)
+        for x in (p * p - 1, p * p):
+            assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
+        assert pi_K_count(D, p * p).count == pi_K_count(D, p * p - 1).count + 1
+
+
+def test_pi_K_ramified_primes_above_sqrt_x_and_above_x():
+    # 163 and 499 ramify and lie above sqrt(x); |D| > x leaves them out
+    for D, xs in ((-163, (100, 162, 163, 164, 200, 26568, 26569)), (-499, (498, 499, 500, 5000))):
+        for x in xs:
+            assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
+    assert pi_K_count(-163, 163).count == pi_K_count(-163, 162).count + 1
+
+
+def test_pi_K_each_counting_route():
+    # slices per class (few split classes), compress weighted by a class
+    # table (many), and one symbol per prime (|D| above the segment length,
+    # or a table dearer than the primes' symbols)
+    S = cmlab.SIEVE_SEGMENT
+    assert _split_classes(-163) * 32 <= S < _split_classes(-10007) * 32
+    assert -131143 % 4 == 1 and is_fundamental_discriminant(-131143) and 131143 > S
+    # -10007 gets a class table at x = 3e5 (|D| log2 x < x) but not at 1e5
+    assert 10007 * (3 * 10**5).bit_length() < 3 * 10**5 and 10007 * (10**5).bit_length() >= 10**5
+    for D, x in ((-163, 3 * 10**5), (-10007, 3 * 10**5), (-131143, 3 * 10**5), (-10007, 10**5), (-131143, 200)):
+        assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
+
+
+def test_pi_K_memory_does_not_grow_with_x():
+    # the segments bound the memory: no list of primes, no symbol per prime,
+    # and no |D|-entry table for |D| above the segment length
+    pi_K_count(-4, 10**4)
+    for D, x in ((-4, 2 * 10**6), (-131143, 10**6)):
+        tracemalloc.start()
+        try:
+            pi_K_count(D, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (D, x, peak)
 
 
 def test_pi_K_ratio_band_small():

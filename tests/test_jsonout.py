@@ -37,6 +37,40 @@ def test_json_writer_matches_json_dumps(tree):
     assert "".join(chunks) == json.dumps(tree, indent=2) + "\n"
 
 
+def _one_shot(value):
+    """value with every list below it turned into a one-shot iterator."""
+    if type(value) is list:
+        return iter([_one_shot(v) for v in value])
+    if type(value) is dict:
+        return {k: _one_shot(v) for k, v in value.items()}
+    return value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=_JSON_TREES)
+def test_json_writer_writes_iterators_as_lists(tree):
+    # a one-shot iterator stands for the list of its items below the top level
+    top = [_one_shot(v) for v in tree] if type(tree) is list else _one_shot(tree)
+    chunks = []
+    write_json(top, chunks.append)
+    assert "".join(chunks) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_json_writer_takes_rows_as_they_are_written():
+    made = []
+
+    def rows():
+        for n in range(3):
+            made.append(n)
+            yield {"n": n}
+
+    chunks = []
+    write_json({"rows": rows(), "empty": iter(()), "tail": [0]}, chunks.append)
+    report = {"rows": [{"n": 0}, {"n": 1}, {"n": 2}], "empty": [], "tail": [0]}
+    assert "".join(chunks) == json.dumps(report, indent=2) + "\n"
+    assert made == [0, 1, 2]
+
+
 @pytest.mark.parametrize(
     "tree",
     [
