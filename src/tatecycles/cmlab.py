@@ -19,8 +19,9 @@ The survey loops take their primes from a segmented sieve, so
 kernels.  Both surveys build each good row through ``_exe_row``, which reads
 the E x E ranks off a^2/p (Niven's theorem) with no Weil polynomial, and
 keep their counts as the rows pass, so the rows can be written as they are
-made.  ``pi_K_count`` counts split primes off the same segments by residue
-class.  No sweep's memory grows with its range.
+made.  ``pi_K_count`` counts split primes off the same segments, through one
+bit mask of the split residue classes.  No sweep's memory grows with its
+range.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _segments(x: int, base: list[int], align: int = 1):
         for p in base:
             first = max(p * p, -(-start // p) * p) - start
             if first < n:
-                seg[first::p] = bytes((n - 1 - first) // p + 1)
+                seg[first::p] = bytearray((n - 1 - first) // p + 1)  # bytes would be copied into a bytearray first
         yield start, seg
 
 
@@ -666,19 +667,6 @@ class NonSplitResult(Record):
         return self.bound.log_value
 
 
-_sieved_primes = lru_cache(maxsize=None)(primes_up_to)
-
-
-def _ascending_primes():
-    """Every prime in ascending order, read from cached sieves that double in
-    length each time the walk runs past the end of one."""
-    n, seen = 1024, 0
-    while True:
-        primes = _sieved_primes(n)
-        yield from itertools.islice(primes, seen, None)
-        n, seen = 2 * n, len(primes)
-
-
 @lru_cache(maxsize=128)  # found primes repeat
 def _log_at_prime(p: int):
     """log p as a raw mpf at the bound's default precision."""
@@ -690,16 +678,19 @@ def least_nonsplit_search(D: int, c=1) -> NonSplitResult:
     together with the theoretical norm bound (relative degree 2 over the
     rationals) and whether the found prime satisfies it.
 
+    The prime is the least n >= 2 with (D|n) = -1, found with no list of
+    primes: (D|n) is completely multiplicative in n, so a composite n with
+    (D|n) = -1 has a smaller factor with symbol -1, and the least such n is
+    prime.  For fundamental D, n -> (D|n) is a non-trivial character mod
+    |D| with (D|1) = 1, so it takes the value -1 at some n < |D| and the walk
+    ends there.
+
     >>> least_nonsplit_search(-4).found_prime
     3
     """
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    found = None
-    for p in _ascending_primes():
-        if kronecker_symbol(D, p) == -1:
-            found = p
-            break
+    found = next(n for n in itertools.count(2) if kronecker_symbol(D, n) == -1)
     # log |D| at whatever precision the bound reads it, so that an evaluation
     # above the default precision for exact_value reads more of its bits
     m = abs(D)
@@ -739,11 +730,12 @@ def pi_K_count(D: int, x: int) -> PiKResult:
     above it are counted off a segmented sieve, with no list of them built.
     For a fundamental D the symbol (D|p) depends only on p mod |D|.  When a
     table of the |D| symbols costs fewer symbols than the primes do and
-    |D| <= SIEVE_SEGMENT, the segments are aligned to multiples of |D|: with
-    few split classes r, the set bytes of seg[r::|D|] are counted; with many,
-    each prime is weighted by its class through itertools.compress.
-    Otherwise each prime gets its own symbol.  Memory stays near
-    SIEVE_SEGMENT bytes whatever x is.
+    |D| <= SIEVE_SEGMENT, the segments are aligned to multiples of |D| and
+    read a block at a time, each block a multiple of |D| bytes (|D| or more,
+    near SIEVE_SEGMENT / 32): the block's bytes, read as one little-endian
+    integer, are masked by the split classes repeated across the block, and
+    the set bits are counted.  Otherwise each prime gets its own symbol.
+    Memory stays near SIEVE_SEGMENT bytes whatever x is.
 
     >>> pi_K_count(-4, 10).count
     4
@@ -757,19 +749,14 @@ def pi_K_count(D: int, x: int) -> PiKResult:
     # p <= sqrt(x): two ideals if p splits, else one (of norm p or p^2 <= x)
     count = sum(2 if kronecker_symbol(D, p) == 1 else 1 for p in base)
     count += sum(r < q <= x for q, _ in factorization(m))  # ramified above sqrt(x)
-    split = []  # the split classes mod m, if a table pays; 1 is always one
     if m <= SIEVE_SEGMENT and m * x.bit_length() < x:  # m below about pi(x)
-        split = [c for c in range(m) if kronecker_symbol(D, c) == 1]
-    if split and len(split) * 32 <= SIEVE_SEGMENT:  # a slice per class pays for itself
+        block = m * max(1, SIEVE_SEGMENT // 32 // m)
+        split = bytes(kronecker_symbol(D, c) == 1 for c in range(m))
+        mask = int.from_bytes(split * (block // m), "little")
         for _, seg in _segments(x, base, m):
-            count += 2 * sum(seg[c::m].count(1) for c in split)
-    elif split:
-        weights = bytearray(m)
-        for c in split:
-            weights[c] = 1
-        weights *= SIEVE_SEGMENT // m
-        for _, seg in _segments(x, base, m):
-            count += 2 * sum(itertools.compress(weights, seg))
+            view = memoryview(seg)
+            for i in range(0, len(seg), block):
+                count += 2 * (int.from_bytes(view[i:i + block], "little") & mask).bit_count()
     else:
         for start, seg in _segments(x, base):
             primes = itertools.compress(range(start, start + len(seg)), seg)

@@ -22,7 +22,6 @@ from tatecycles.cmlab import (
     EllipticCurve,
     InternalError,
     SurveyRow,
-    _ascending_primes,
     _cm_trace,
     _exe_row,
     _li_offset,
@@ -558,17 +557,14 @@ def test_least_nonsplit_requires_fundamental():
 
 
 def test_least_nonsplit_sweep_small():
-    for D in fundamental_discriminants(300):
+    # |D| <= 300, and 10^5 < |D| <= 10^5 + 2000 where the walk runs further
+    wide = [D for D in range(-(10**5 + 2000), 10**5 + 2001) if abs(D) > 10**5 and is_fundamental_discriminant(D)]
+    for D in fundamental_discriminants(300) + wide:
         res = least_nonsplit_search(D)
         assert kronecker_symbol(D, res.found_prime) == -1
         for p in primes_up_to(res.found_prime - 1):
             assert kronecker_symbol(D, p) != -1
         assert res.satisfied, D
-
-
-def test_ascending_primes_grow_past_the_first_sieve():
-    # the 3,000th prime is 27,449, five doublings past the first sieve
-    assert list(itertools.islice(_ascending_primes(), 3000)) == primes_up_to(27449)
 
 
 def _sweep_digest(limit):
@@ -650,14 +646,12 @@ def test_pi_K_table_matches_per_prime_symbols():
             assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
 
 
-def _split_classes(D):
-    return sum(kronecker_symbol(D, r) == 1 for r in range(abs(D)))
-
-
 def test_pi_K_at_segment_and_alignment_boundaries():
     # x = kS - 1, kS, kS + 1, and the ends of the segments aligned to |D|,
     # which start at the multiple of |D| below isqrt(x) + 1 and step by the
-    # largest multiple of |D| up to S
+    # largest multiple of |D| up to S; and x where the last segment ends on a
+    # block boundary, and x +- 1 (a block is the largest multiple of |D| up to
+    # S / 32, or |D| itself)
     S = cmlab.SIEVE_SEGMENT
     for D in (-4, -3, 5, -163, 7989):
         m = abs(D)
@@ -666,6 +660,11 @@ def test_pi_K_at_segment_and_alignment_boundaries():
             lo = isqrt(x) + 1
             end = lo - lo % m + (S - S % m)
             xs |= {end - 1, end, end + 1, end + S - S % m}
+        block = m * max(1, S // 32 // m)
+        for x in range(S - block, S + 3 * block):
+            lo = isqrt(x) + 1
+            if (x + 1 - (lo - lo % m)) % (S - S % m) % block == 0:
+                xs |= {x - 1, x, x + 1}
         for x in sorted(xs):
             assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
 
@@ -689,11 +688,10 @@ def test_pi_K_ramified_primes_above_sqrt_x_and_above_x():
 
 
 def test_pi_K_each_counting_route():
-    # slices per class (few split classes), compress weighted by a class
-    # table (many), and one symbol per prime (|D| above the segment length,
-    # or a table dearer than the primes' symbols)
+    # the split-class mask over blocks of several |D| (-163) or of one |D|
+    # (-10007), and one symbol per prime (|D| above the segment length, or a
+    # table dearer than the primes' symbols)
     S = cmlab.SIEVE_SEGMENT
-    assert _split_classes(-163) * 32 <= S < _split_classes(-10007) * 32
     assert -131143 % 4 == 1 and is_fundamental_discriminant(-131143) and 131143 > S
     # -10007 gets a class table at x = 3e5 (|D| log2 x < x) but not at 1e5
     assert 10007 * (3 * 10**5).bit_length() < 3 * 10**5 and 10007 * (10**5).bit_length() >= 10**5
@@ -705,7 +703,7 @@ def test_pi_K_memory_does_not_grow_with_x():
     # the segments bound the memory: no list of primes, no symbol per prime,
     # and no |D|-entry table for |D| above the segment length
     pi_K_count(-4, 10**4)
-    for D, x in ((-4, 2 * 10**6), (-131143, 10**6)):
+    for D, x in ((-4, 2 * 10**6), (-131143, 10**6), (40009, 10**7)):
         tracemalloc.start()
         try:
             pi_K_count(D, x)
