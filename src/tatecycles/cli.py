@@ -288,19 +288,11 @@ def cmd_cm(args) -> dict:
     if getattr(args, "pmax", 0) < 0:
         raise ValueError(f"--pmax must be nonnegative, got {args.pmax}")
     if args.subcommand == "survey":
-        rows = _records(cmlab._survey_sweep(args.disc, args.pmax), lambda d: {"density": d.to_record()})
-        inputs = {"disc": args.disc, "pmax": args.pmax}
-        return _report("cm survey", inputs, rows)
+        sweep = cmlab.exe_survey(args.disc, args.pmax)
+        return _report("cm survey", {"disc": args.disc, "pmax": args.pmax}, (item.to_record() for item in sweep))
     if args.subcommand == "noncm":
-        curve = cmlab.EllipticCurve.parse(args.curve)
-        rows = _records(
-            cmlab._noncm_sweep(curve, args.pmax),
-            lambda rep: {
-                "summary": {"all_rank_base_4": rep.all_rank_base_4, "exceptional_primes": list(rep.exceptional_primes)}
-            },
-        )
-        inputs = {"curve": args.curve, "pmax": args.pmax}
-        return _report("cm noncm", inputs, rows)
+        sweep = cmlab.noncm_rank_check(cmlab.EllipticCurve.parse(args.curve), args.pmax)
+        return _report("cm noncm", {"curve": args.curve, "pmax": args.pmax}, (item.to_record() for item in sweep))
     if args.subcommand == "nonsplit":
         bounds.parse_real(args.c, "--c")  # the text goes on, for the bound to read at each precision it uses
         res = cmlab.least_nonsplit_search(args.disc, c=args.c)
@@ -318,16 +310,6 @@ def cmd_cm(args) -> dict:
         res = cmlab.pi_K_count(args.disc, args.x)
         inputs = {"disc": args.disc, "x": args.x}
         return _report("cm pik", inputs, [res.to_record()])
-
-
-def _records(sweep, last):
-    """The records of a sweep's rows as they arrive, then last() of its
-    final item: a one-shot iterator, which _emit writes as a list."""
-    item = next(sweep)
-    for following in sweep:
-        yield item.to_record()
-        item = following
-    yield last(item)
 
 
 def _human_cm(report: dict) -> None:
@@ -457,7 +439,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InternalError, VerifyMismatchError, AssertionError) as exc:
+    except (InternalError, VerifyMismatchError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if not getattr(args, "json", False):

@@ -16,17 +16,20 @@ point's order in the interval, and otherwise by a character sum.
 The survey loops take their primes from a segmented sieve, so
 ``_cm_trace`` and ``_pointcount`` run no primality test; the public
 ``ap_cm`` and ``ap_pointcount`` keep every check and call the same trace
-kernels.  Both surveys build each good row through ``_exe_row``, which reads
-the E x E ranks off a^2/p (Niven's theorem) with no Weil polynomial, and
-keep their counts as the rows pass, so the rows can be written as they are
-made.  ``pi_K_count`` counts split primes off the same segments, through one
-bit mask of the split residue classes.  No sweep's memory grows with its
-range.
+kernels.  ``exe_survey`` and ``noncm_rank_check`` check their input at the
+call and return a one-shot iterator of the rows, then a summary whose
+``to_record()`` is its report row.  Both build each good row through
+``_exe_row``, which reads the E x E ranks off a^2/p (Niven's theorem) with
+no Weil polynomial, and keep their counts as the rows pass, so the rows can
+be written as they are made.  ``pi_K_count`` counts split primes off the
+same segments, through one bit mask of the split residue classes.  No
+sweep's memory grows with its range.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from functools import lru_cache
 from math import isqrt, lcm, prod
 
@@ -204,7 +207,7 @@ def kronecker(D: int, p: int) -> int:
 # square roots mod p and Cornacchia representations
 
 def _sqrt_mod_p(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p (Tonelli-Shanks)."""
+    """A square root of a modulo an odd prime p (Tonelli-Shanks) for _cornacchia."""
     a %= p
     if a == 0:
         return 0
@@ -378,10 +381,12 @@ def _bsgs_trace(E: EllipticCurve, p: int) -> int | None:
     """a_p at a prime p >= 5 of good reduction, certified from point orders,
     or None if BSGS_MAX_POINTS points do not pin it.
 
-    Works on the short model y^2 = x^3 - 27 c4 x - 54 c6, isomorphic to E
-    over F_p.  #E(F_p) is a multiple of L (the lcm of the orders so far) in
-    the Hasse interval.  For each point P = (x, y), x = 0, 1, ..., the
-    baby-step giant-step scan of R = [L]P finds j with [jL]P = O among the
+    Works on y^2 = x^3 + Ax + B, A = -27 c4, B = -54 c6, isomorphic to E over
+    F_p.  #E(F_p) is a multiple of L (the lcm of the orders so far) in the
+    Hasse interval.  For x = 0, 1, ... with r = x^3 + Ax + B a square by
+    Euler's criterion, P is (x, 0) if r = 0 and otherwise (r x, r^2) on
+    y^2 = x^3 + A r^2 x + B r^3, the image of (x, sqrt r): no root is taken.
+    The baby-step giant-step scan of R = [L]P finds j with [jL]P = O among the
     multiples jL in the interval, and one scalar multiplication confirms it.
     If the scan certifies j as the only one, jL is the only multiple of
     lcm(L, ord P) there, so it is #E(F_p).  Otherwise jL is cut down to
@@ -397,27 +402,24 @@ def _bsgs_trace(E: EllipticCurve, p: int) -> int | None:
     L, points = 1, 0
     for x in range(p):
         r = (x * x * x + A * x + B) % p
-        try:
-            y = _sqrt_mod_p(r, p)
-        except ValueError:
+        if r and pow(r, (p - 1) // 2, p) != 1:
             continue
-        if y * y % p != r:
-            raise InternalError(f"{y}^2 != {r} mod {p}")
         points += 1
         if points > BSGS_MAX_POINTS:
             return None
-        P = (x, y)
-        R = _ec_mul(P, L, A, p)
+        s = r or 1  # the scale: 1 keeps (x, 0) on the short model
+        P, As = (s * x % p, s * r % p), A * s * s % p
+        R = _ec_mul(P, L, As, p)
         if R is None:
             continue
-        j, unique = _bsgs_multiple(R, -(-lo // L), hi // L, A, p)
+        j, unique = _bsgs_multiple(R, -(-lo // L), hi // L, As, p)
         N = L * j
-        if _ec_mul(P, N, A, p) is not None:
-            raise InternalError(f"[{N}]P != O on y^2 = x^3 + {A}x + {B} mod {p}")
+        if _ec_mul(P, N, As, p) is not None:
+            raise InternalError(f"[{N}]P != O on y^2 = x^3 + {As}x + {B * s**3 % p} mod {p}")
         if unique:
             return p + 1 - N
         for q, _ in factorization(N):
-            while N % q == 0 and _ec_mul(P, N // q, A, p) is None:
+            while N % q == 0 and _ec_mul(P, N // q, As, p) is None:
                 N //= q
         L = lcm(L, N)
         low, high = -(-lo // L), hi // L
@@ -539,12 +541,13 @@ class DensityReport(Record):
     __slots__ = ("p_max", "counts", "fractions")
 
     def to_record(self) -> dict:
-        return {
+        density = {
             "p_max": self.p_max,
             "counts": dict(self.counts),
             "fractions": {k: repr(v) for k, v in self.fractions},
             "reference_fraction": "0.5",  # split and inert primes each have density 1/2
         }
+        return {"density": density}
 
 
 def _exe_row(p: int, chi: int | None, typ: str, a: int) -> SurveyRow:
@@ -565,25 +568,17 @@ def _exe_row(p: int, chi: int | None, typ: str, a: int) -> SurveyRow:
     return SurveyRow(p, chi, a, typ, 6 if m == 1 else 4, 6, m)
 
 
-def exe_survey(D: int, p_max: int) -> tuple[list[SurveyRow], DensityReport]:
+def exe_survey(D: int, p_max: int) -> Iterator[SurveyRow | DensityReport]:
     """Survey E x E for the CM curve of discriminant D over every prime
-    p <= p_max.
+    p <= p_max: a one-shot iterator of the rows, then the DensityReport
+    (``*rows, density = exe_survey(D, p_max)``).
 
     Good primes (p >= 5, p not dividing D) get exact ranks over the prime
     field and over the algebraic closure; p = 2, 3 and divisors of D are
-    excluded from the density denominators.  The list of what
-    ``_survey_sweep`` yields one at a time.
-    """
-    *rows, density = _survey_sweep(D, p_max)
-    return rows, density
-
-
-def _survey_sweep(D: int, p_max: int):
-    """exe_survey's rows one at a time, then its DensityReport.
-
-    The input is checked at the call.  The rows are made as they are taken,
-    from one sieve segment at a time, and the density counts are kept as
-    they pass, so memory does not grow with p_max.
+    excluded from the density denominators.  The input is checked at the
+    call.  The rows are made as they are taken, from one sieve segment at a
+    time, and the density counts are kept as they pass, so memory does not
+    grow with p_max.
     """
     if D not in CLASS_NUMBER_ONE_DISCS:
         raise ValueError(f"D must be one of {CLASS_NUMBER_ONE_DISCS}")
@@ -619,23 +614,22 @@ def _survey_rows(D: int, p_max: int):
 
 
 class NonCmReport(Record):
-    """A non-CM sweep; ``exceptional_primes`` are the good primes with
-    stable rank > 4."""
+    """The summary of a non-CM sweep; ``exceptional_primes`` are the good
+    primes with stable rank > 4."""
 
-    __slots__ = ("rows", "all_rank_base_4", "exceptional_primes")
+    __slots__ = ("all_rank_base_4", "exceptional_primes")
+
+    def to_record(self) -> dict:
+        summary = {"all_rank_base_4": self.all_rank_base_4, "exceptional_primes": list(self.exceptional_primes)}
+        return {"summary": summary}
 
 
-def noncm_rank_check(E: EllipticCurve, p_max: int) -> NonCmReport:
+def noncm_rank_check(E: EllipticCurve, p_max: int) -> Iterator[SurveyRow | NonCmReport]:
     """Check that E x E has Tate rank exactly 4 over every good prime field
     p <= p_max, and report the sporadic primes whose stable rank exceeds 4
-    (root-of-unity eigenvalue ratios, possible at tiny primes)."""
-    *rows, summary = _noncm_sweep(E, p_max)
-    return NonCmReport(tuple(rows), summary.all_rank_base_4, summary.exceptional_primes)
-
-
-def _noncm_sweep(E: EllipticCurve, p_max: int):
-    """noncm_rank_check's rows one at a time, then its summary as a
-    NonCmReport with no rows; the input is checked at the call."""
+    (root-of-unity eigenvalue ratios, possible at tiny primes): a one-shot
+    iterator of the rows, then the NonCmReport, with the input checked at
+    the call."""
     if p_max > NONCM_BUDGET:
         raise BudgetExceededError(f"non-CM sweep capped at p_max <= {NONCM_BUDGET}")
     return _noncm_rows(E, p_max)
@@ -653,7 +647,7 @@ def _noncm_rows(E: EllipticCurve, p_max: int):
         if row.rank_stable > 4:
             exceptional.append(p)
         yield row
-    yield NonCmReport(rows=(), all_rank_base_4=all_rank_base_4, exceptional_primes=tuple(exceptional))
+    yield NonCmReport(all_rank_base_4=all_rank_base_4, exceptional_primes=tuple(exceptional))
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,8 @@ def _cyclotomic_cached(m: int) -> IntPoly:
     f = IntPoly([-1] + [0] * (m - 1) + [1])
     for d in divisors(m)[:-1]:
         f, rem = divmod(f, _cyclotomic_cached(d))
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise InternalError(f"Phi_{d} does not divide the cyclotomic quotient for m = {m}")
     return f
 
 
@@ -471,7 +472,7 @@ def from_power_sums(sums: "list[int] | tuple[int, ...]") -> IntPoly:
 def _newton_coefficients(sums) -> list[int]:
     """a_1, ..., a_N of the monic T^N + a_1 T^(N-1) + ... + a_N whose roots
     have power sums p_1, ..., p_N: a_m = -(p_m + a_1 p_(m-1) + ... +
-    a_(m-1) p_1) / m, raising AssertionError on a nonzero remainder."""
+    a_(m-1) p_1) / m, raising InternalError on a nonzero remainder."""
     a: list[int] = []
     seen: list[int] = []
     for m, pm in enumerate(sums, 1):
@@ -480,7 +481,7 @@ def _newton_coefficients(sums) -> list[int]:
             s += ai * pj
         am, rem = divmod(-s, m)
         if rem:
-            raise AssertionError(f"inexact Newton division: {-s} by {m}")
+            raise InternalError(f"inexact Newton division: {-s} by {m}")
         a.append(am)
         seen.append(pm)
     return a
@@ -641,7 +642,8 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
         b = b // g
         d = d // g - b.derivative()
         i += 1
-    assert sum(g.degree * e for g, e in out) == f.degree
+    if sum(g.degree * e for g, e in out) != f.degree:
+        raise InternalError(f"Yun decomposition of a degree-{f.degree} polynomial lost roots")
     return out
 
 

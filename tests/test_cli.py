@@ -523,8 +523,9 @@ def test_cm_budget_exit_code(capsys):
 
 
 def test_cm_unsupported_disc_exit_code(capsys):
-    code, _, _ = run_cli(capsys, "cm", "survey", "--disc", "-15", "--pmax", "100")
+    code, out, _ = run_cli(capsys, "cm", "survey", "--disc", "-15", "--pmax", "100")
     assert code == 2
+    assert out == ""
 
 
 def test_survey_json_numbers_within_64_bits_are_ints(capsys):
@@ -549,11 +550,14 @@ PRIME_400_DIGITS = str(10**399 + 1311)
         ["bounds", "hensel", "--nl", "2", "--primes", "1000000000000000003"],
         ["bounds", "hensel", "--primes", PRIME_400_DIGITS, "--nl", "2"],
         ["tate", "--poly", "25,0,10,0,1", "--q", "5", "--n-max", "100000000"],
+        ["cm", "survey", "--disc", "-4", "--pmax", "10000001"],
+        ["cm", "noncm", "--curve", "0,0,1,-1,0", "--pmax", "10001"],
     ],
 )
 def test_budget_exit_code(capsys, argv):
     # primes above the trial-division cap and an oversized report used to
-    # hang or end in a traceback
+    # hang or end in a traceback; a sweep past its budget stops at the call,
+    # before any of its report is written
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 3
     assert out == ""

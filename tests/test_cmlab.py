@@ -306,11 +306,13 @@ def test_sqrt_mod_p_matches_brute_force():
                     cmlab._sqrt_mod_p(a, p)
 
 
-def test_pointcount_rejects_a_wrong_square_root(monkeypatch):
-    root = cmlab._sqrt_mod_p
-    monkeypatch.setattr(cmlab, "_sqrt_mod_p", lambda a, p: (root(a, p) + 1) % p)
+def test_pointcount_rejects_a_wrong_order(monkeypatch):
+    # a scan that reports j + 1 in place of j: [N]P != O names the model the
+    # point lies on
+    scan = cmlab._bsgs_multiple
+    monkeypatch.setattr(cmlab, "_bsgs_multiple", lambda R, *rest: (scan(R, *rest)[0] + 1, True))
     for p in (5, 101, 2999):
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match=rf"\]P != O on y\^2 = x\^3 \+ \d+x \+ \d+ mod {p}$"):
             _pointcount(CURVE_37A, p)
 
 
@@ -436,7 +438,7 @@ def test_exe_row_matches_tate_oracle():
 
 
 def test_exe_survey_rows_examples():
-    rows, density = exe_survey(-4, 100)
+    *rows, density = exe_survey(-4, 100)
     by_p = {r.p: r for r in rows}
     r7 = by_p[7]
     assert (r7.kronecker, r7.a_p, r7.reduction_type) == (-1, 0, "supersingular")
@@ -455,7 +457,7 @@ def test_exe_survey_rows_examples():
 
 
 def test_exe_survey_rank_classification():
-    rows, _ = exe_survey(-11, 500)
+    *rows, _ = exe_survey(-11, 500)
     for r in rows:
         if r.reduction_type == "bad-or-excluded":
             continue
@@ -473,10 +475,10 @@ def test_exe_survey_rejects_unsupported():
 
 
 def test_exe_survey_deterministic():
-    a = exe_survey(-4, 300)
-    b = exe_survey(-4, 300)
+    a = list(exe_survey(-4, 300))
+    b = list(exe_survey(-4, 300))
     assert a == b
-    assert [r.p for r in a[0]] == primes_up_to(300)
+    assert [r.p for r in a[:-1]] == primes_up_to(300)
 
 
 def test_survey_probes_see_both_sweeps(monkeypatch):
@@ -490,10 +492,11 @@ def test_survey_probes_see_both_sweeps(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(cmlab, name, spy)
+    # the sweeps are lazy: only taking their rows reaches the sieve
     sweep[0] = "survey"
-    exe_survey(-4, 50)
+    list(exe_survey(-4, 50))
     sweep[0] = "noncm"
-    noncm_rank_check(CURVE_37A, 50)
+    list(noncm_rank_check(CURVE_37A, 50))
     assert callers == {name: {"survey", "noncm"} for name in callers}
 
 
@@ -501,8 +504,8 @@ def test_survey_probes_see_both_sweeps(monkeypatch):
 # non-CM sweep
 
 def test_noncm_conductor_37_small_primes():
-    rep = noncm_rank_check(CURVE_37A, 50)
-    by_p = {r.p: r for r in rep.rows}
+    *rows, rep = noncm_rank_check(CURVE_37A, 50)
+    by_p = {r.p: r for r in rows}
     r2 = by_p[2]
     assert (r2.a_p, r2.rank_base, r2.rank_stable, r2.stable_degree) == (-2, 4, 6, 4)
     r3 = by_p[3]
@@ -512,9 +515,9 @@ def test_noncm_conductor_37_small_primes():
 
 
 def test_noncm_rank_base_always_4():
-    rep = noncm_rank_check(CURVE_37A, 1000)
+    *rows, rep = noncm_rank_check(CURVE_37A, 1000)
     assert rep.all_rank_base_4
-    for r in rep.rows:
+    for r in rows:
         if r.reduction_type != "bad":
             assert r.rank_base == 4
             assert r.rank_stable >= 4

@@ -1,8 +1,8 @@
 """Which module may load what: mpmath stays out of the exact tate path,
 dataclasses out of the package, exec and eval out of everything but
-polycore.Record's method builder, and nothing in src/ changes mpmath's
-process-wide precision, and the names the benchmark's tracer wraps and the
-modules export stay bound."""
+polycore.Record's method builder, nothing in src/ changes mpmath's
+process-wide precision or holds an assert statement, and the names the
+benchmark's tracer wraps and the modules export stay bound."""
 
 import ast
 import importlib
@@ -165,6 +165,31 @@ def test_src_never_changes_the_process_wide_mpmath_precision():
         for path in sorted((SRC / "tatecycles").glob("*.py"))
     }
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _assert_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scan_finds_each_form():
+    source = (
+        "assert x\n"
+        "def f():\n"
+        "    assert y, 'message'\n"
+        "raise AssertionError('kept')\n"
+        "assert_equal(x, y)\n"
+    )
+    assert _assert_lines(source) == [1, 3]
+
+
+def test_src_holds_no_assert_statement():
+    # python -O strips assert statements: an invariant check must raise
+    # InternalError, which maps to exit 4 under every interpreter flag
+    found = {
+        path.name: _assert_lines(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "tatecycles").glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_bench_tracer_names_resolve():

@@ -15,6 +15,7 @@ from tatecycles.polycore import (
     FACTOR_TRIAL_BOUND,
     BudgetExceededError,
     IntPoly,
+    InternalError,
     PolyFormatError,
     carmichael_lambda,
     charpoly,
@@ -271,7 +272,7 @@ def test_power_sums_round_trip():
 
 def test_from_power_sums_rejects_inexact_division():
     # p_1 = 1, p_2 = 0 would need e_2 = 1/2
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalError):
         from_power_sums([1, 0])
 
 

@@ -16,7 +16,6 @@ from tatecycles.polycore import IntPoly, Record
 from tatecycles.tate import TateRow
 from tatecycles.weil import WeilPoly
 
-_ROW = SurveyRow(5, -1, 0, "supersingular", 2, 6, 2)
 _BOUND = BoundReport("bound_B", (("N", "2"),), mp.mpf(3), 21)
 
 # one instance's field values per record class, in __slots__ order
@@ -29,7 +28,7 @@ SAMPLES = {
     EllipticCurve: (0, 0, 1, -1, 0, "37a"),
     SurveyRow: (5, -1, 0, "supersingular", 2, 6, 2),
     DensityReport: (100, (("ordinary", 12),), (("ordinary", 0.5),)),
-    NonCmReport: ((_ROW,), True, ()),
+    NonCmReport: (True, ()),
     NonSplitResult: (-4, 3, _BOUND, True),
     PiKResult: (-4, 100, 25, 29.08, 0.86),
 }
