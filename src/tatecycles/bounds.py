@@ -15,10 +15,10 @@ the like with ``prec=p``, or raw ``mpmath.libmp`` calls), rounding as the
 ``mp`` context would at p bits; nothing reads or sets ``mp.prec``, so reports
 do not depend on the caller's precision or on other threads.  Real inputs
 (int, float, decimal string, mpf or ``mp.constant``) are read at each
-evaluation's precision.  ``least_nonsplit_bound``, run once per discriminant
-in a sweep, works on raw mpf tuples and caches per (field, c, n, precision)
-c f(K), 5/(2(n-1)), log 55 and their echoed strings.  ln 2 and the 4096-bit
-cap are cached per precision.
+evaluation's precision.  ``least_nonsplit_bound`` and the search run once
+per discriminant share ``_nonsplit_bound``, which takes log |d_L| as a raw mpf
+and caches per (field, c, n, precision) c f(K), 5/(2(n-1)), log 55 and their
+echoed strings.  ln 2 and the exact_value limits are cached per precision.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_log,
     mpf_mul,
-    mpf_pos,
     mpf_sum,
     round_ceiling,
     round_nearest,
@@ -185,12 +184,13 @@ def _log2_and_cap(prec: int, bits: int = 0):
 
 
 def _exact_value_at(L, prec: int) -> int | None:
-    """exact_value of the raw mpf L, rounded as at ``prec`` bits."""
-    ln2, cap, _ = _log2_and_cap(prec)
+    """exact_value of the raw mpf L at ``prec`` bits, from e^L at max(log2(e^L) + 80, prec)
+    bits: ``prec`` if L <= limit, which tops the cap past prec = 4176, so the cap goes first."""
+    ln2, cap, limit = _log2_and_cap(prec)
     if mpf_gt(L, cap):
         return None
-    wp = max(to_int(mpf_div(L, ln2, prec, round_nearest)) + 80, prec)
-    v = mpf_exp(mpf_pos(L, wp, round_nearest), wp, round_nearest)
+    wp = max(to_int(mpf_div(L, ln2, prec, round_nearest)) + 80, prec) if mpf_gt(L, limit) else prec
+    v = mpf_exp(L, wp, round_nearest)
     c = to_int(v, round_ceiling)
     # the floor where c^2 > (c + 1)(1 + 10^-20) v, the slack e^(1e-20) read as
     # 1 + 10^-20; with v = man 2^e, flooring the right side keeps it exact
@@ -322,11 +322,14 @@ def least_nonsplit_bound(
     _check_precision(precision_bits)
     if n < 2:
         raise ValueError("relative degree must be >= 2")
-    c_fk, slope, log_const, head, tail = _nonsplit_invariants(
-        fp, (type(fp.n_K), type(fp.log_abs_disc)), c, n, precision_bits
-    )
-    prec = precision_bits
-    ldl = mp.mpf(log_d_L, prec=prec)._mpf_
+    _nonsplit_invariants(fp, (type(fp.n_K), type(fp.log_abs_disc)), c, n, precision_bits)  # c before log |d_L|
+    ldl = mp.mpf(log_d_L, prec=precision_bits)._mpf_
+    return _nonsplit_bound(fp, ldl, n, c, precision_bits, lambda q: least_nonsplit_bound(fp, log_d_L, n, c, q))
+
+
+def _nonsplit_bound(fp: FieldParams, ldl, n: int, c, prec: int, report_at) -> BoundReport:
+    """least_nonsplit_bound at n >= 2 from the raw mpf ldl = log |d_L|; report_at(q) gives it at q bits."""
+    c_fk, slope, log_const, head, tail = _nonsplit_invariants(fp, (type(fp.n_K), type(fp.log_abs_disc)), c, n, prec)
     if ldl[0]:  # the sign bit of the raw mpf
         raise ValueError("log |d_L| must be >= 0")
     log_formula = mpf_add(c_fk, mpf_mul(slope, ldl, prec, round_nearest), prec, round_nearest)
@@ -345,7 +348,7 @@ def least_nonsplit_bound(
         name="least_nonsplit_bound",
         inputs=inputs,
         log_value=mp.make_mpf(log_value),
-        exact_value=_exact_value(log_value, prec, lambda q: least_nonsplit_bound(fp, log_d_L, n, c, q)),
+        exact_value=_exact_value(log_value, prec, report_at),
     )
 
 

@@ -36,7 +36,7 @@ from math import isqrt, lcm, prod
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_ei, mpf_le, mpf_ln2, mpf_log, mpf_pos, mpf_sub, round_nearest, to_float
 
-from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, least_nonsplit_bound
+from .bounds import DEFAULT_PRECISION_BITS, RATIONALS, _nonsplit_bound, least_nonsplit_bound
 from .polycore import BudgetExceededError, InternalError, Record, factorization, is_prime, parse_int_list
 
 # Nothing here calls these any more; bench/tracer.py wraps them on cmlab.
@@ -152,42 +152,30 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _squarefree_part(n: int) -> int:
-    """n with all square factors removed, sign preserved."""
-    if n == 0:
-        raise ValueError("zero has no squarefree part")
-    sign = -1 if n < 0 else 1
-    return sign * prod(p for p, e in factorization(abs(n)) if e % 2)
-
-
 def fundamental_discriminant(D: int) -> int:
-    """Discriminant of Q(sqrt(D)): the squarefree part s of D if s = 1 mod 4,
-    otherwise 4s."""
+    """Discriminant of Q(sqrt(D)): the squarefree part s of D, sign kept, if
+    s = 1 mod 4, otherwise 4s."""
     if D == 0:
         raise ValueError("D must be nonzero")
-    s = _squarefree_part(D)
+    s = (1 if D > 0 else -1) * prod(p for p, e in factorization(abs(D)) if e % 2)
     return s if s % 4 == 1 else 4 * s
 
 
 def is_fundamental_discriminant(D: int) -> bool:
-    if D in (0, 1):
-        return False
-    if D % 4 == 1:
-        return _squarefree_part(D) == D
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and _squarefree_part(m) == m
-    return False
+    """D != 1 is its own fundamental discriminant, which needs D = 1 mod 4 or 8, 12 mod 16."""
+    return (D % 4 == 1 or D % 16 in (8, 12)) and D != 1 and fundamental_discriminant(D) == D
 
 
 def fundamental_discriminants(limit: int) -> list[int]:
-    """All fundamental discriminants with 1 < |D| <= limit, by |D| then sign."""
-    out = []
-    for a in range(2, limit + 1):
-        for D in (-a, a):
-            if is_fundamental_discriminant(D):
-                out.append(D)
-    return out
+    """All fundamental discriminants with 1 < |D| <= limit, by |D| then sign,
+    off one sieve of the squarefree numbers up to limit."""
+    if limit < 2:
+        return []
+    squarefree = bytearray(b"\x01") * (limit + 1)
+    for q in primes_up_to(isqrt(limit)):
+        squarefree[q * q::q * q] = bytes(limit // (q * q))
+    signed = ((D, a) for a in range(2, limit + 1) for D in (-a, a))
+    return [D for D, a in signed if D % 4 == 1 and squarefree[a] or D % 16 in (8, 12) and squarefree[a // 4]]
 
 
 def kronecker(D: int, p: int) -> int:
@@ -679,17 +667,26 @@ def least_nonsplit_search(D: int, c=1) -> NonSplitResult:
     |D| with (D|1) = 1, so it takes the value -1 at some n < |D| and the walk
     ends there.
 
+    The bound comes from least_nonsplit_bound's core on log |D| as a raw mpf;
+    a second evaluation for exact_value reads log |D| again at its own
+    precision, through an ``mp.constant``, not its default-precision rounding.
+
     >>> least_nonsplit_search(-4).found_prime
     3
     """
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    found = next(n for n in itertools.count(2) if kronecker_symbol(D, n) == -1)
-    # log |D| at whatever precision the bound reads it, so that an evaluation
-    # above the default precision for exact_value reads more of its bits
+    found = 2
+    while kronecker_symbol(D, found) != -1:
+        found += 1
     m = abs(D)
-    log_d_L = mp.constant(lambda prec, rounding: mpf_log(from_int(m), prec, rounding), "log |D|")
-    report = least_nonsplit_bound(RATIONALS, log_d_L, n=2, c=c)
+
+    def report_at(q: int):
+        log_D = mp.constant(lambda prec, rounding: mpf_log(from_int(m), prec, rounding), "log |D|")
+        return least_nonsplit_bound(RATIONALS, log_D, 2, c, q)
+
+    ldl = mpf_log(from_int(m), DEFAULT_PRECISION_BITS, round_nearest)
+    report = _nonsplit_bound(RATIONALS, ldl, 2, c, DEFAULT_PRECISION_BITS, report_at)
     satisfied = mpf_le(_log_at_prime(found), report.log_value._mpf_)
     return NonSplitResult(D=D, found_prime=found, bound=report, satisfied=satisfied)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_gt, mpf_log
 
 from tatecycles.bounds import (
     C_MAX_DIMENSION,
@@ -28,7 +29,7 @@ from tatecycles.bounds import (
     format_real,
     parse_real,
 )
-from tatecycles.bounds import _exact_value, _exact_value_at, _nonsplit_invariants
+from tatecycles.bounds import _exact_value, _exact_value_at, _log2_and_cap, _nonsplit_invariants
 from tatecycles.cmlab import least_nonsplit_search, pi_K_count
 from tatecycles.polycore import BudgetExceededError
 
@@ -493,6 +494,53 @@ def test_exact_value_of_a_vanishing_bound_is_zero():
     # too large to shift by, so the comparison must not scale by it
     for L in (-(10**60), -5000, -3):
         assert _same_exact_value(mp.mpf(L), 256) == 0
+
+
+@pytest.mark.parametrize("prec", [100, 256, 1024, 8192])
+def test_exact_value_at_its_working_precision_limit(prec):
+    # at or below limit = (prec - 80) ln 2 e^L is taken at prec bits with no
+    # division; just above it at log2(e^L) + 80 bits: both sides of the limit
+    # match the reference, and at 8192 bits the limit is above the cap
+    _, cap, limit = _log2_and_cap(prec)
+    with mp.workprec(prec):
+        L0 = mp.make_mpf(limit)
+        values = [L0 + u * mp.ldexp(1, mp.mag(L0) - prec) for u in range(-3, 4)]
+    above = [mpf_gt(L._mpf_, limit) for L in values]
+    assert 0 < above.count(True) < len(values)
+    got = [_same_exact_value(L, prec) for L in values]
+    if prec == 8192:
+        assert mpf_gt(limit, cap) and got == [None] * len(values)
+    else:
+        assert None not in got
+
+
+# fundamental D with |D| up to 10^6, with both signs where both are fundamental
+_SEARCH_DISCS = (-3, 5, -4, -8, 8, -24, 24, -163, 1009, -999928, 999928, -999976, 999976, 999997)
+
+
+@pytest.mark.parametrize("c", [1, "0.5", 300])
+def test_least_nonsplit_search_bound_is_the_public_bound(c):
+    # the search hands the raw log |D| to the same core; at c = 300 exact_value
+    # re-evaluates both at more bits, the search through an mp.constant
+    for D in _SEARCH_DISCS:
+        m = abs(D)
+        log_d_L = mp.constant(lambda prec, rounding: mpf_log(from_int(m), prec, rounding), "log |D|")
+        want = least_nonsplit_bound(RATIONALS, log_d_L, 2, c)
+        got = least_nonsplit_search(D, c).bound
+        assert got.to_record() == want.to_record(), (D, c)
+        assert got.log_value._mpf_ == want.log_value._mpf_, (D, c)
+
+
+def test_least_nonsplit_bound_checks_its_inputs_in_order():
+    # degree, then c, then the sign of log |d_L|
+    with pytest.raises(ValueError, match="relative degree"):
+        least_nonsplit_bound(RATIONALS, -1, 1)
+    with pytest.raises(ValueError, match="relative degree"):
+        least_nonsplit_bound(RATIONALS, "not a number", 1, 0)
+    with pytest.raises(ValueError, match="c must be positive"):
+        least_nonsplit_bound(RATIONALS, -1, 2, 0)
+    with pytest.raises(ValueError, match="c must be positive"):
+        least_nonsplit_bound(RATIONALS, "not a number", 2, 0)
 
 
 def test_least_nonsplit_search_exact_value_matches_a_6000_bit_reference():

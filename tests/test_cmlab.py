@@ -116,6 +116,19 @@ def test_fundamental_discriminants():
     assert got == [-3, -4, 5, -7, -8, 8, -11, 12]
 
 
+def test_fundamental_discriminants_sieve_matches_the_definition():
+    # every limit from -3 to 500 and 10^4 against the filter on
+    # is_fundamental_discriminant, in the same |D|-then-sign order
+    def definition(limit):
+        return [D for a in range(2, limit + 1) for D in (-a, a) if is_fundamental_discriminant(D)]
+
+    full = definition(500)
+    for limit in range(-3, 501):
+        assert fundamental_discriminants(limit) == [D for D in full if abs(D) <= limit], limit
+    assert fundamental_discriminants(10**4) == definition(10**4)
+    assert fundamental_discriminants(1) == fundamental_discriminants(-3) == []
+
+
 # ---------------------------------------------------------------------------
 # point counting
 
