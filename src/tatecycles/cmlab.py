@@ -5,16 +5,19 @@ prime field and over the algebraic closure), splitting densities, empirical
 least-non-split primes, and prime-ideal counts for imaginary and real
 quadratic fields.
 
-Frobenius traces for the nine class-number-one CM discriminants come from
-the Cornacchia representation 4p = x^2 + |D| y^2; only |a_p| is used, since
-all of the degree-2 eigenvalue products feeding the E x E ranks are
-invariant under negating both H^1 roots.  Traces of other curves count
-E(F_p): for p >= 5 by baby-step giant-step on point orders, certified by
-the Hasse bound, mostly from one scan that finds the only multiple of a
-point's order in the interval, and otherwise by a character sum.
+Frobenius traces for the nine class-number-one CM discriminants are read off
+lattice points of the norm form, 4p = x^2 + |D| y^2, which one walk
+(``_norm_points``) enumerates over a window of integers with no modular
+square root: the survey walks each of its sieve windows once, and ``ap_cm``
+its one-prime window.  Only |a_p| is used, since all of the degree-2
+eigenvalue products feeding the E x E ranks are invariant under negating
+both H^1 roots.  Traces of other curves count E(F_p): for p >= 5 by
+baby-step giant-step on point orders, certified by the Hasse bound, mostly
+from one scan that finds the only multiple of a point's order in the
+interval, and otherwise by a character sum.
 
-The survey loops take their primes from a segmented sieve, so
-``_cm_trace`` and ``_pointcount`` run no primality test; the public
+The sweeps take their primes from the windows of a segmented sieve, so the
+survey's traces and ``_pointcount`` need no primality test; the public
 ``ap_cm`` and ``ap_pointcount`` keep every check and call the same trace
 kernels.  ``exe_survey`` and ``noncm_rank_check`` check their input at the
 call and return a one-shot iterator of the rows, then a summary whose
@@ -29,6 +32,7 @@ sweep's memory grows with its range.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Iterator
 from functools import lru_cache
 from math import isqrt, lcm, prod
@@ -115,13 +119,16 @@ def _segments(x: int, base: list[int], align: int = 1):
         yield start, seg
 
 
-def _primes_through(x: int):
-    """Every prime <= x in ascending order, the base primes from
-    primes_up_to(isqrt(x)) and the rest one sieve segment at a time."""
+def _prime_windows(x: int):
+    """(start, flags) windows that cover [0, x] in ascending order, flags[i]
+    1 exactly when start + i is a prime: first [0, isqrt(x)] with the primes
+    from primes_up_to(isqrt(x)), then the sieve segments."""
     base = primes_up_to(isqrt(x))
-    yield from base
-    for start, seg in _segments(x, base):
-        yield from itertools.compress(range(start, start + len(seg)), seg)
+    flags = bytearray(isqrt(x) + 1)
+    for p in base:
+        flags[p] = 1
+    yield 0, flags
+    yield from _segments(x, base)
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -192,61 +199,41 @@ def kronecker(D: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# square roots mod p and Cornacchia representations
+# CM traces from lattice points of the norm form
 
-def _sqrt_mod_p(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p (Tonelli-Shanks) for _cornacchia."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # p = 1 mod 4: Tonelli-Shanks
-    t, s = p - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    z = 2  # a non-residue: 2 is one when p = 5 mod 8
-    if p % 8 == 1:
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-    g = pow(z, t, p)
-    x = pow(a, (t + 1) // 2, p)
-    b = pow(a, t, p)
-    r = s
-    while b != 1:
-        m, bb = 0, b
-        while bb != 1:
-            bb = bb * bb % p
-            m += 1
-        w = pow(g, 1 << (r - m - 1), p)
-        g = w * w % p
-        x = x * w % p
-        b = b * g % p
-        r = m
+def _norm_points(m: int, start: int, flags):
+    """(n, x, y) for each n = start + i with flags[i] set and
+    4n = x^2 + m y^2, x >= 0 and y >= 1, in order of y and then x.
+
+    m = -D for a negative discriminant D, so m = 0 or 3 mod 4, and
+    x^2 + m y^2 = 0 mod 4 exactly when x = m y mod 2.  For each y with m y^2
+    below the window's upper end, x runs over that parity from isqrt of the
+    window's lower end, so every lattice point of the window is met once and
+    no modular square root is taken (the enumeration of the Atkin-Bernstein
+    sieve).
+    """
+    lo, hi = 4 * start, 4 * (start + len(flags))
+    y = 1
+    while (my2 := m * y * y) < hi:
+        x = isqrt(lo - my2 - 1) + 1 if lo > my2 else 0  # the least x with x^2 + m y^2 >= lo
+        x += (x - m * y) % 2
+        for x in range(x, isqrt(hi - my2 - 1) + 1, 2):
+            i = (x * x + my2 - lo) >> 2
+            if flags[i]:
+                yield start + i, x, y
+        y += 1
+
+
+def _cm_ap(D: int, x: int, y: int) -> int:
+    """|a_p| from any x^2 + |D| y^2 = 4p, with the unit ambiguity for D = -4
+    and D = -3 resolved to the curves y^2 = x^3 + x and y^2 = x^3 + 1: for
+    D = -4, p = (x/2)^2 + y^2 and |a_p| is twice the odd one of x/2 and y; for
+    D = -3, |a_p| is the even one of x, (x + 3y)/2 and (x - 3y)/2."""
+    if D == -4:
+        return x if x // 2 % 2 else 2 * y
+    if D == -3:
+        return next(abs(t) for t in (x, (x + 3 * y) // 2, (x - 3 * y) // 2) if t % 2 == 0)
     return x
-
-
-def _cornacchia(D: int, p: int) -> tuple[int, int]:
-    """Solve x^2 + |D| y^2 = 4p for fundamental D < 0 and an odd prime p that
-    splits in Q(sqrt(D)) (Cohen, Alg. 1.5.3); x, y >= 0."""
-    r = _sqrt_mod_p(D % p, p)
-    if (r - D) % 2:
-        r = p - r  # parity so that r^2 = D mod 4p
-    a, b = 2 * p, r
-    limit = isqrt(4 * p)
-    while b > limit:
-        a, b = b, a % b
-    t = 4 * p - b * b
-    if t % (-D):
-        raise InternalError(f"no representation x^2 + {-D}y^2 = {4 * p}")
-    y2 = t // (-D)
-    y = isqrt(y2)
-    if y * y != y2:
-        raise InternalError(f"no representation x^2 + {-D}y^2 = {4 * p}")
-    return b, y
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +456,13 @@ def ap_cm(D: int, p: int) -> tuple[str, int]:
     """Splitting type and |a_p| for the CM elliptic curve with discriminant D.
 
     Inert primes are supersingular with a_p = 0.  Split primes are ordinary;
-    |a_p| comes from the Cornacchia representation 4p = x^2 + |D| y^2, with
-    the unit ambiguity for D = -4 and D = -3 resolved to the curves
-    y^2 = x^3 + x and y^2 = x^3 + 1: for D = -4, p = (x/2)^2 + y^2 and |a_p|
-    is twice the odd one of x/2 and y; for D = -3, |a_p| is the even one of
-    x, (x + 3y)/2 and (x - 3y)/2.
+    |a_p| is read off the first lattice point of 4p = x^2 + |D| y^2 that
+    ``_norm_points`` meets over the one-prime window at p, the walk the
+    survey runs over its sieve windows, with the unit ambiguity for D = -4
+    and D = -3 resolved as ``_cm_ap`` says.  The walk takes one step per y up
+    to the point's, so O(sqrt(p/|D|)) steps at worst: up to sqrt(p/2), about
+    7 * 10^5, at p near 10^12 and D = -4, where the primality check of p
+    takes a trial division to sqrt(p).
     """
     if D not in CLASS_NUMBER_ONE_DISCS:
         raise ValueError(f"D must be one of {CLASS_NUMBER_ONE_DISCS}")
@@ -481,25 +470,14 @@ def ap_cm(D: int, p: int) -> tuple[str, int]:
         raise ValueError(f"{p} is not prime")
     if (2 * D) % p == 0:
         raise ValueError(f"p = {p} divides 2D")
-    typ, a = _cm_trace(D, p, kronecker_symbol(D, p))
+    if kronecker_symbol(D, p) == -1:
+        return "supersingular", 0
+    point = next(_norm_points(-D, p, b"\x01"), None)
+    if point is None:
+        raise InternalError(f"no representation x^2 + {-D}y^2 = {4 * p}")
+    a = _cm_ap(D, point[1], point[2])
     if a * a > 4 * p:
         raise InternalError(f"trace bound violated: {a}^2 > 4*{p}")
-    return typ, a
-
-
-def _cm_trace(D: int, p: int, chi: int) -> tuple[str, int]:
-    """ap_cm without its input checks, for a prime p not dividing 2D and
-    chi = kronecker_symbol(D, p), which is the splitting of p since D is
-    fundamental and p prime."""
-    if chi == -1:
-        return "supersingular", 0
-    x, y = _cornacchia(D, p)
-    if D == -4:
-        a = x if x // 2 % 2 else 2 * y
-    elif D == -3:
-        a = next(abs(t) for t in (x, (x + 3 * y) // 2, (x - 3 * y) // 2) if t % 2 == 0)
-    else:
-        a = x
     return "ordinary", a
 
 
@@ -577,19 +555,26 @@ def exe_survey(D: int, p_max: int) -> Iterator[SurveyRow | DensityReport]:
 
 def _survey_rows(D: int, p_max: int):
     split = inert = excluded = stable_6 = 0
-    for p in _primes_through(p_max):
-        chi = kronecker_symbol(D, p)  # D is fundamental and p prime
-        if p in (2, 3) or D % p == 0:
-            excluded += 1
-            yield SurveyRow(p, chi, None, "bad-or-excluded", None, None, None)
-            continue
-        row = _exe_row(p, chi, *_cm_trace(D, p, chi))
-        if chi == 1:
-            split += 1
-        else:
-            inert += 1
-        stable_6 += row.rank_stable == 6
-        yield row
+    for start, flags in _prime_windows(p_max):
+        traces = array("I", [0]) * len(flags)  # |a_p| of the window's split primes, by offset
+        for n, x, y in _norm_points(-D, start, flags):
+            traces[n - start] = _cm_ap(D, x, y)
+        for p in itertools.compress(range(start, start + len(flags)), flags):
+            chi = kronecker_symbol(D, p)  # D is fundamental and p prime
+            if p in (2, 3) or D % p == 0:
+                excluded += 1
+                yield SurveyRow(p, chi, None, "bad-or-excluded", None, None, None)
+                continue
+            if chi == -1:
+                inert += 1
+                row = _exe_row(p, chi, "supersingular", 0)
+            elif a := traces[p - start]:
+                split += 1
+                row = _exe_row(p, chi, "ordinary", a)
+            else:
+                raise InternalError(f"no representation x^2 + {-D}y^2 = {4 * p}")
+            stable_6 += row.rank_stable == 6
+            yield row
     good = split + inert
     by_type = (("split", split), ("inert", inert))
     counts = by_type + (
@@ -625,16 +610,17 @@ def noncm_rank_check(E: EllipticCurve, p_max: int) -> Iterator[SurveyRow | NonCm
 
 def _noncm_rows(E: EllipticCurve, p_max: int):
     all_rank_base_4, exceptional = True, []
-    for p in _primes_through(p_max):
-        a = _pointcount(E, p)
-        if a is None:
-            yield SurveyRow(p, None, None, "bad", None, None, None)
-            continue
-        row = _exe_row(p, None, "supersingular" if a % p == 0 else "ordinary", a)
-        all_rank_base_4 &= row.rank_base == 4
-        if row.rank_stable > 4:
-            exceptional.append(p)
-        yield row
+    for start, flags in _prime_windows(p_max):
+        for p in itertools.compress(range(start, start + len(flags)), flags):
+            a = _pointcount(E, p)
+            if a is None:
+                yield SurveyRow(p, None, None, "bad", None, None, None)
+                continue
+            row = _exe_row(p, None, "supersingular" if a % p == 0 else "ordinary", a)
+            all_rank_base_4 &= row.rank_base == 4
+            if row.rank_stable > 4:
+                exceptional.append(p)
+            yield row
     yield NonCmReport(all_rank_base_4=all_rank_base_4, exceptional_primes=tuple(exceptional))
 
 

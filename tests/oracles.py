@@ -17,20 +17,25 @@ whose ``polycore.charpoly`` (of a ``polycore.compound_matrix`` for H^r)
 checks the power-sum routes of ``h_charpoly`` and ``base_change``.
 ``pi_K_per_prime`` counts prime ideals from the list of every prime up to x
 and one Kronecker symbol each, with no segments and no residue classes.
+``ap_cm_cornacchia`` takes each CM trace from the representation
+4p = x^2 + |D| y^2 that Cornacchia's algorithm finds from a Tonelli-Shanks
+square root of D mod p, where the library walks lattice points with no
+modular root; only the unit rule for D = -4 and D = -3 is the library's.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 import mpmath
 from mpmath import mp
 
-from tatecycles.cmlab import kronecker_symbol, primes_up_to
+from tatecycles.cmlab import _cm_ap, kronecker_symbol, primes_up_to
 from tatecycles.polycore import (
     IntPoly,
+    InternalError,
     _newton_coefficients,
     _primitive,
     cyclotomic_multiplicity,
@@ -143,6 +148,69 @@ def pi_K_per_prime(D: int, x: int) -> int:
         elif p * p <= x:
             count += 1
     return count
+
+
+def sqrt_mod_p(a: int, p: int) -> int:
+    """A square root of a modulo an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a quadratic residue mod {p}")
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # p = 1 mod 4: Tonelli-Shanks
+    t, s = p - 1, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    z = 2  # a non-residue: 2 is one when p = 5 mod 8
+    if p % 8 == 1:
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+    g = pow(z, t, p)
+    x = pow(a, (t + 1) // 2, p)
+    b = pow(a, t, p)
+    r = s
+    while b != 1:
+        m, bb = 0, b
+        while bb != 1:
+            bb = bb * bb % p
+            m += 1
+        w = pow(g, 1 << (r - m - 1), p)
+        g = w * w % p
+        x = x * w % p
+        b = b * g % p
+        r = m
+    return x
+
+
+def cornacchia(D: int, p: int) -> tuple[int, int]:
+    """Solve x^2 + |D| y^2 = 4p for fundamental D < 0 and an odd prime p that
+    splits in Q(sqrt(D)) (Cohen, Alg. 1.5.3); x, y >= 0."""
+    r = sqrt_mod_p(D % p, p)
+    if (r - D) % 2:
+        r = p - r  # parity so that r^2 = D mod 4p
+    a, b = 2 * p, r
+    limit = isqrt(4 * p)
+    while b > limit:
+        a, b = b, a % b
+    t = 4 * p - b * b
+    if t % (-D):
+        raise InternalError(f"no representation x^2 + {-D}y^2 = {4 * p}")
+    y2 = t // (-D)
+    y = isqrt(y2)
+    if y * y != y2:
+        raise InternalError(f"no representation x^2 + {-D}y^2 = {4 * p}")
+    return b, y
+
+
+def ap_cm_cornacchia(D: int, p: int) -> tuple[str, int]:
+    """(reduction type, |a_p|) of the CM curve of discriminant D at a prime p
+    not dividing 2D, the trace from the Cornacchia representation."""
+    if kronecker_symbol(D, p) == -1:
+        return "supersingular", 0
+    return "ordinary", _cm_ap(D, *cornacchia(D, p))
 
 
 def ap_charsum(E, p: int) -> int | None:

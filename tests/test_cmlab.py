@@ -1,4 +1,4 @@
-"""Prime surveys: Kronecker symbols, point counting, Cornacchia traces,
+"""Prime surveys: Kronecker symbols, point counting, CM traces,
 E x E ranks, least non-split primes, prime-ideal counts."""
 
 import hashlib
@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from math import isqrt
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import mp
 
-from oracles import ap_charsum, pi_K_per_prime
+from oracles import ap_charsum, ap_cm_cornacchia, pi_K_per_prime, sqrt_mod_p
 from tatecycles import cmlab
 from tatecycles.cmlab import (
     CLASS_NUMBER_ONE_DISCS,
@@ -22,7 +23,6 @@ from tatecycles.cmlab import (
     EllipticCurve,
     InternalError,
     SurveyRow,
-    _cm_trace,
     _exe_row,
     _li_offset,
     _pointcount,
@@ -313,10 +313,10 @@ def test_sqrt_mod_p_matches_brute_force():
             roots.setdefault(y * y % p, y)
         for a in range(p):
             if a in roots:
-                assert cmlab._sqrt_mod_p(a, p) ** 2 % p == a, (a, p)
+                assert sqrt_mod_p(a, p) ** 2 % p == a, (a, p)
             else:
                 with pytest.raises(ValueError):
-                    cmlab._sqrt_mod_p(a, p)
+                    sqrt_mod_p(a, p)
 
 
 def test_pointcount_rejects_a_wrong_order(monkeypatch):
@@ -342,7 +342,7 @@ def test_ap_pointcount_budget():
 
 
 # ---------------------------------------------------------------------------
-# CM traces via Cornacchia
+# CM traces from lattice points of the norm form
 
 def test_ap_cm_gaussian_examples():
     assert ap_cm(-4, 5) == ("ordinary", 2)    # 4*5 = 2^2 + 4*2^2
@@ -405,16 +405,115 @@ def test_supersingular_iff_inert():
             assert (typ == "supersingular") == (kronecker(D, p) == -1)
 
 
+def _first_split_prime_above(D: int, n: int) -> int:
+    # a window of 10^4 integers above n sieved by the primes to its square root
+    width = 10**4
+    flags = bytearray(b"\x01") * width
+    for q in primes_up_to(isqrt(n + width)):
+        flags[-n % q::q] = bytes(len(range(-n % q, width, q)))
+    return next(n + i for i in range(width) if flags[i] and kronecker_symbol(D, n + i) == 1)
+
+
+@pytest.mark.parametrize("n", [10**9, 10**12 - 10**6])
+def test_ap_cm_matches_cornacchia_at_large_primes(n):
+    for D in CLASS_NUMBER_ONE_DISCS:
+        p = _first_split_prime_above(D, n)
+        assert ap_cm(D, p) == ap_cm_cornacchia(D, p), (D, p)
+
+
+def test_ap_cm_matches_cornacchia_where_the_window_starts_below_the_form():
+    # the one-prime window [4p, 4p + 4) lies below |D| y^2 for every y when
+    # |D| > 4p + 3, and for every y past the first few otherwise
+    for D in CLASS_NUMBER_ONE_DISCS:
+        for p in (5, 7, 13, 17):
+            if (2 * D) % p:
+                assert ap_cm(D, p) == ap_cm_cornacchia(D, p), (D, p)
+
+
+def test_a_split_prime_with_no_lattice_point_raises(monkeypatch):
+    # a walk that misses the points of 4 * 13 = x^2 + 4y^2, in the survey's
+    # window and in ap_cm's one-prime window
+    walk = cmlab._norm_points
+    monkeypatch.setattr(cmlab, "_norm_points", lambda *args: (t for t in walk(*args) if t[0] != 13))
+    with pytest.raises(InternalError, match=r"no representation x\^2 \+ 4y\^2 = 52$"):
+        list(exe_survey(-4, 100))
+    with pytest.raises(InternalError, match=r"no representation x\^2 \+ 4y\^2 = 52$"):
+        ap_cm(-4, 13)
+    assert ap_cm(-4, 17) == ("ordinary", 2)
+
+
 # ---------------------------------------------------------------------------
 # E x E surveys
 
 def test_sieved_prime_step_matches_public_route():
-    # the survey's unchecked trace against the checked ap_cm
+    # the survey's traces, read off its sieve windows, against the checked ap_cm
     for D in CLASS_NUMBER_ONE_DISCS:
-        for p in primes_up_to(10**4):
-            if p in (2, 3) or D % p == 0:
-                continue
-            assert _cm_trace(D, p, kronecker_symbol(D, p)) == ap_cm(D, p), (D, p)
+        *rows, _ = exe_survey(D, 10**4)
+        for r in rows:
+            if r.reduction_type != "bad-or-excluded":
+                assert (r.reduction_type, r.a_p) == ap_cm(D, r.p), (D, r.p)
+
+
+def _oracle_rows(D: int, p_max: int) -> list:
+    # (p, kronecker, reduction type, a_p) of every prime to p_max, from Cornacchia
+    rows = []
+    for p in primes_up_to(p_max):
+        chi = kronecker_symbol(D, p)
+        if p in (2, 3) or D % p == 0:
+            rows.append((p, chi, "bad-or-excluded", None))
+        else:
+            rows.append((p, chi, *ap_cm_cornacchia(D, p)))
+    return rows
+
+
+def _row_tuples(D: int, p_max: int) -> list:
+    *rows, _ = exe_survey(D, p_max)
+    return [(r.p, r.kronecker, r.reduction_type, r.a_p) for r in rows]
+
+
+def test_survey_traces_match_cornacchia_oracle():
+    for D in CLASS_NUMBER_ONE_DISCS:
+        assert _row_tuples(D, 10**5) == _oracle_rows(D, 10**5), D
+
+
+def _windows(p_max: int) -> list:
+    # (first, last) of each window the survey walks: [0, isqrt] and the segments
+    r = isqrt(p_max)
+    step = cmlab.SIEVE_SEGMENT
+    return [(0, r)] + [(s, min(s + step - 1, p_max)) for s in range(r + 1, p_max + 1, step)]
+
+
+@pytest.mark.parametrize("D", CLASS_NUMBER_ONE_DISCS)
+def test_survey_traces_at_window_boundaries(D):
+    # p_max at q^2 - 1, q^2 and q^2 + 1 puts the split prime q first in the
+    # first segment or last in the base window; p_max at
+    # isqrt(p_max) + k SIEVE_SEGMENT + (-1, 0, 1) ends the last segment one
+    # short of a full segment, full, or one entry long; and two isqrt(p_max)
+    # put a split prime last in the first segment and first in the second
+    S = cmlab.SIEVE_SEGMENT
+    split = [p for p in primes_up_to(S + 1000) if p > 100 and kronecker_symbol(D, p) == 1]
+    q = split[0]
+    ends = [q * q - 1, q * q, q * q + 1]
+    for k in (1, 2):
+        for d in (-1, 0, 1):
+            n = k * S + d
+            for _ in range(4):  # isqrt(n) settles at once for n near k S
+                n = k * S + d + isqrt(n)
+            assert n - isqrt(n) == k * S + d, (k, d, n)
+            ends.append(n)
+    last = next(p for p in split if p - S >= 400)  # r = p - S, first segment [r + 1, p]
+    first = next(p for p in split if p - S - 1 >= 400)  # r = p - S - 1, second segment from p
+    ends += [(last - S) ** 2, (first - S - 1) ** 2]
+    oracle = _oracle_rows(D, max(ends))
+    seen = set()
+    for p_max in ends:
+        rows = _row_tuples(D, p_max)
+        assert rows == [row for row in oracle if row[0] <= p_max], (D, p_max)
+        primes = [row[0] for row in rows]
+        for lo, hi in _windows(p_max):
+            flagged = primes[bisect_left(primes, lo):bisect_right(primes, hi)]
+            seen.update(p for p in flagged[:1] + flagged[-1:] if kronecker_symbol(D, p) == 1)
+    assert {q, last, first} <= seen, (D, q, last, first)
 
 
 def test_sieved_prime_step_keeps_hasse_check():
@@ -431,9 +530,8 @@ def test_exe_row_matches_tate_oracle():
     # powers, which alone reach a^2/q = 1 and 4
     cases = set()
     for D in CLASS_NUMBER_ONE_DISCS:
-        for p in primes_up_to(2 * 10**4):
-            if p not in (2, 3) and D % p:
-                cases.add((_cm_trace(D, p, kronecker_symbol(D, p))[1], p))
+        *rows, _ = exe_survey(D, 2 * 10**4)
+        cases.update((r.a_p, r.p) for r in rows if r.a_p is not None)
     for E in (CURVE_37A, CURVE_11A, CURVE_X3_PLUS_X, CURVE_X3_PLUS_1):
         for p in primes_up_to(10**4):
             if (a := _pointcount(E, p)) is not None:
