@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 __all__ = [
     "Record",
@@ -35,7 +35,6 @@ __all__ = [
     "factorization",
     "is_prime",
     "euler_phi",
-    "carmichael_lambda",
     "divisors",
     "power_sums",
     "from_power_sums",
@@ -350,18 +349,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def carmichael_lambda(n: int) -> int:
-    """Exponent of (Z/n)^*: lcm of phi(p^e) over p^e || n, halved for 2^e, e > 2.
-
-    >>> [carmichael_lambda(n) for n in (1, 2, 4, 8, 9, 16, 15)]
-    [1, 1, 2, 2, 6, 4, 4]
-    """
-    out = 1
-    for p, e in _factorization(n):
-        out = lcm(out, (p - 1) * p ** (e - 1) >> (p == 2 and e >= 3))
-    return out
-
-
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n."""
     out = [1]
@@ -585,9 +572,7 @@ def compound_matrix(A, r: int) -> list[list[int]]:
 
 def _primitive(f: IntPoly) -> IntPoly:
     """f divided by its positive content (the gcd of its coefficients)."""
-    content = 0
-    for c in f.coeffs:
-        content = gcd(content, c)
+    content = gcd(*f.coeffs)
     return IntPoly([c // content for c in f.coeffs]) if content > 1 else f
 
 

@@ -33,8 +33,16 @@ then R(z) = 0 (mod l) for a prime l = 1 (mod m) and any z of exact order m in
 F_l; a chance pass costs one exact division.  For d <= 6, E_d divides 120 and
 every allowed m divides L = 2^5 3^2 5^2 7 11 13 31 41 61, so one field F_P,
 P = 5L + 1 (the least prime = 1 (mod L) above 2^40), and one g of exact order
-L serve every row, with z_m = g^(L/m).  The size of P sets how rare a chance
-pass is (one m in about 2^40).  The scan covers d <= 6 only; above that it
+L serve every row: z_m is the product of the g^(L/r) over the prime powers
+r || m, whose orders are coprime.  The size of P sets how rare a chance pass
+is (one m in about 2^40).  The test runs on half of R: its roots pair as
+u <-> 1/u, so R_i = (-1)^N R_(N-i) (see h_charpoly).  Dividing R by its
+content keeps every Phi_m multiplicity (Gauss's lemma), and dividing out T - 1
+when R is anti-palindromic, then T + 1 when the degree left is odd, leaves a
+palindromic S of degree 2h with S(z) = z^h V(z + 1/z).  For z of order m,
+R(z) = 0 gives S(z) = 0 unless z is a root divided out, whose m passes
+untested, and z != 0 gives V(w_m) = 0 at w_m = z_m + 1/z_m: h Clenshaw steps
+where Horner takes 2h.  The scan covers d <= 6 only; above that it
 raises BudgetExceededError before any H^{2k} work.
 """
 
@@ -46,10 +54,12 @@ from math import comb, lcm
 from .polycore import (
     BudgetExceededError,
     IntPoly,
+    InternalError,
     Record,
-    carmichael_lambda,
+    _primitive,
     cyclotomic_multiplicity,
     euler_phi,
+    factorization,
     is_prime,
 )
 from .weil import WeilPoly, h_charpoly
@@ -68,9 +78,9 @@ DISPLAY_N_CAP = 60
 # 10^5 degrees is already 19 MB of JSON
 N_REPORT_BUDGET = 10**5
 # largest dimension tate_profile reports on; at d = 6 (a six-fold elliptic
-# product over F_7) the rows take 0.74 s and an 18 MB peak, 0.87 s without
-# duality (2 cores, Python 3.11.7): H^6 0.42 s, the k = 3 scan 0.21 s, H^8
-# 0.086 -> 0.003 s and the k = 4..6 scans 0.076 s -> under 0.1 ms
+# product over F_7) the rows take 0.29 s and a 16 MB peak in one process
+# (2 cores, Python 3.11.7): H^6 0.17 s and the k = 3 scan 0.065 s; rows
+# 4..6 reuse the pairs of rows 2..0
 D_REPORT_BUDGET = 5
 
 
@@ -128,7 +138,7 @@ def _check_codim(d: int, k: int, n: int = 1) -> None:
 
 
 # one witness field for every d <= 6 (see the module docstring); _G has exact
-# order _L in F_P, and with _P below 2^48 the Horner steps stay short ints
+# order _L in F_P, and with _P below 2^48 the Clenshaw steps stay short ints
 _L = 558781423200  # 2^5 3^2 5^2 7 11 13 31 41 61
 _P = 5 * _L + 1  # 2793907116001, the least prime = 1 (mod _L) above 2^40
 _G = 915254021484
@@ -136,32 +146,78 @@ _SCAN_D_MAX = 6
 
 
 @lru_cache(maxsize=None)
-def _witness_table(bound: int, d: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (m, z_m), ascending in m, of the m with phi(m) <= bound and
-    lambda(m) | 2 lcm(1..d); z_m has exact order m in F_P.  Raises
-    BudgetExceededError for d > 6, where an allowed m need not divide _L."""
+def _witness_table(bound: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """Triples (m, z_m, w_m), ascending in m, of the m with phi(m) <= bound
+    and lambda(m) | 2 lcm(1..d); z_m has exact order m in F_P and
+    w_m = z_m + 1/z_m.  Raises BudgetExceededError for d > 6, where an allowed
+    m need not divide _L.
+
+    The m are the products of prime powers r || _L over distinct primes, found
+    depth first with phi(m) carried down each branch.  lambda(m) is the lcm of
+    the lambda(r), so it divides E_d when each lambda(r) does, and z_m is the
+    product of the g_r = _G^(_L/r): one pow and one inverse per prime power."""
     if d > _SCAN_D_MAX:
         raise BudgetExceededError(f"the cyclotomic scan covers dimension d <= {_SCAN_D_MAX}")
     exponent = 2 * lcm(*range(1, d + 1))
-    return tuple(
-        (m, pow(_G, _L // m, _P)) for m in totient_bounded_set(bound) if exponent % carmichael_lambda(m) == 0
-    )
-
-
-def _cyclotomic_scan(Q: IntPoly, s: int, witnesses: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Pairs (m, e), ascending in m, with e > 0 the multiplicity of Phi_m in
-    R(T) = Q(sT).  Only the m of ``witnesses`` (a _witness_table) whose z_m is
-    a root of R mod P are divided out (see the module docstring), so the scan
-    is complete only for R built from a Weil polynomial of the table's d."""
-    R = Q.scale_variable(s)
-    # R(z) = Q(sz); for s = q^k, Q has about half the coefficient bits of R
-    top_down = [c % _P for c in Q.coeffs[::-1]]
+    powers = []  # per prime p | _L: (r, phi(r), g_r, 1/g_r) for r = p, p^2, ... that pass
+    for p, e in factorization(_L):
+        row = []
+        for i in range(1, e + 1):
+            phi = (p - 1) * p ** (i - 1)
+            if phi > bound or exponent % (phi >> (p == 2 and i >= 3)):
+                break  # phi(p^i) and lambda(p^i) divide those of p^(i+1)
+            g = pow(_G, _L // p**i, _P)
+            row.append((p**i, phi, g, pow(g, -1, _P)))
+        powers.append(row)
     out = []
-    for m, z in witnesses:
-        x, acc = s * z % _P, 0
-        for c in top_down:
-            acc = (acc * x + c) % _P
-        if acc == 0 and (e := cyclotomic_multiplicity(R, m)):
+
+    def extend(start: int, m: int, phi: int, z: int, z_inv: int) -> None:
+        out.append((m, z, (z + z_inv) % _P))
+        for i in range(start, len(powers)):
+            for r, phi_r, g, g_inv in powers[i]:
+                if phi * phi_r > bound:
+                    break  # phi(p^i) ascends with i
+                extend(i + 1, m * r, phi * phi_r, z * g % _P, z_inv * g_inv % _P)
+
+    extend(0, 1, 1, 1, 1)
+    return tuple(sorted(out))
+
+
+def _cyclotomic_scan(Q: IntPoly, s: int, witnesses: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """Pairs (m, e), ascending in m, with e > 0 the multiplicity of Phi_m in
+    R(T) = Q(sT).  Only the m of ``witnesses`` (a _witness_table) that pass
+    the half-length pre-test are divided out of the primitive part of R (see
+    the module docstring), so the scan is complete only for R built from a
+    Weil polynomial of the table's d.  Raises InternalError if R is neither
+    palindromic nor anti-palindromic, which no Weil polynomial gives."""
+    R = _primitive(Q.scale_variable(s))
+    c = R.coeffs
+    divided = []  # the orders, 1 and 2, of the roots T = 1 and T = -1 divided out
+    if c != c[::-1]:
+        if c != tuple(-x for x in reversed(c)):
+            raise InternalError(f"R(T) = Q({s}T) is not self-reciprocal")
+        divided.append(1)
+    if (len(c) - 1 - len(divided)) % 2:
+        divided.append(2)  # a palindromic quotient of odd degree vanishes at -1
+    h = (len(c) - 1 - len(divided)) // 2
+    # s_2h, ..., s_h of S: synthetic division from the top needs only the top
+    # h + 1 coefficients of R, and as it is exact over Z it runs mod P
+    top = [x % _P for x in reversed(c[-h - 1 :])]
+    for m in divided:
+        root = 1 if m == 1 else -1
+        for j in range(1, h + 1):
+            top[j] = (top[j] + root * top[j - 1]) % _P
+    centre, upper = top[h], top[:h]
+    out = []
+    for m, _, w in witnesses:
+        if m not in divided:
+            # Clenshaw: b_j = s_(h+j) + w b_(j+1) - b_(j+2), V(w) = s_h + w b_1 - 2 b_2
+            b1 = b2 = 0
+            for x in upper:
+                b1, b2 = (x + w * b1 - b2) % _P, b1
+            if (centre + w * b1 - 2 * b2) % _P:
+                continue
+        if e := cyclotomic_multiplicity(R, m):
             out.append((m, e))
     return tuple(out)
 

@@ -10,6 +10,9 @@ through the functional equation and takes r > d from the Poincare dual.
 ``unfiltered_scan`` divides the H^{2k} ratio polynomial built from it by
 every Phi_m of the totient-bounded set, with no pre-test, no Galois filter
 and no cache shared with the library.
+``carmichael_lambda`` takes the exponent of (Z/n)^* from the factorization
+of n, for the Galois filter's allowed orders, which the library finds depth
+first over the prime powers of one modulus.
 ``ap_charsum`` counts points by Euler's criterion on the long Weierstrass
 model, with no Legendre table, no short model and no group law.
 ``companion`` and ``matrix_power`` build integer matrices, as lists of rows,
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 import mpmath
 from mpmath import mp
@@ -39,6 +42,7 @@ from tatecycles.polycore import (
     _newton_coefficients,
     _primitive,
     cyclotomic_multiplicity,
+    factorization,
     from_power_sums,
     power_sums,
     squarefree_decomposition,
@@ -134,6 +138,18 @@ def unfiltered_scan(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
 def _divide_by_every_cyclotomic(R: IntPoly) -> tuple[tuple[int, int], ...]:
     mults = ((m, cyclotomic_multiplicity(R, m)) for m in totient_bounded_set(R.degree))
     return tuple((m, e) for m, e in mults if e)
+
+
+def carmichael_lambda(n: int) -> int:
+    """Exponent of (Z/n)^*: lcm of phi(p^e) over p^e || n, halved for 2^e, e > 2.
+
+    >>> [carmichael_lambda(n) for n in (1, 2, 4, 8, 9, 16, 15)]
+    [1, 1, 2, 2, 6, 4, 4]
+    """
+    out = 1
+    for p, e in factorization(n):
+        out = lcm(out, (p - 1) * p ** (e - 1) >> (p == 2 and e >= 3))
+    return out
 
 
 def pi_K_per_prime(D: int, x: int) -> int:

@@ -1,4 +1,5 @@
-"""The documented examples: every module docstring and the README quick start."""
+"""The documented examples: every module docstring, the tests' oracles and
+the README quick start."""
 
 import ast
 import doctest
@@ -19,6 +20,12 @@ def test_module_doctests(name):
     module = importlib.import_module(name if name == "tatecycles" else f"tatecycles.{name}")
     result = doctest.testmod(module)
     assert result.failed == 0
+
+
+def test_oracle_doctests():
+    # the tests' own oracles document their examples too
+    result = doctest.testmod(importlib.import_module("oracles"))
+    assert result.failed == 0 and result.attempted > 0
 
 
 def _quick_start_lines() -> list[str]:

@@ -4,7 +4,7 @@ compound matrices, with the stated independent oracles."""
 import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 
 import pytest
 from mpmath import mp
@@ -17,7 +17,6 @@ from tatecycles.polycore import (
     IntPoly,
     InternalError,
     PolyFormatError,
-    carmichael_lambda,
     charpoly,
     compound_matrix,
     cyclotomic,
@@ -158,30 +157,6 @@ def test_cyclotomic_product_identity_up_to_200():
 def test_cyclotomic_degree_is_phi():
     for m in range(1, 60):
         assert cyclotomic(m).degree == euler_phi(m)
-
-
-def _unit_group_exponent(m):
-    """Least e with a^e = 1 (mod m) for every unit a; it divides the group
-    order (Lagrange), so only divisors of the number of units are tried."""
-    units = [a for a in range(1, m + 1) if gcd(a, m) == 1]
-    for e in range(1, len(units) + 1):
-        if len(units) % e == 0 and all(pow(a, e, m) == 1 % m for a in units):
-            return e
-
-
-def test_carmichael_lambda_matches_unit_group_exponent():
-    assert [carmichael_lambda(m) for m in (1, 2, 4, 8, 16, 9, 27, 25, 343, 1331)] == [
-        1, 1, 2, 2, 4, 6, 18, 20, 294, 1210,
-    ]
-    assert all(carmichael_lambda(m) == _unit_group_exponent(m) for m in range(1, 2001))
-    # beyond the scan: lambda(2^e) = 2^(e-2) for e >= 3, lambda(p^e) = phi(p^e)
-    # for odd p, and lambda(ab) = lcm(lambda(a), lambda(b)) for coprime a, b
-    for e in range(3, 40):
-        assert carmichael_lambda(2**e) == 2 ** (e - 2)
-    for p in (3, 5, 7, 101, 9973):
-        for e in range(1, 6):
-            assert carmichael_lambda(p**e) == (p - 1) * p ** (e - 1)
-    assert carmichael_lambda(2**5 * 3**4 * 101) == lcm(8, 54, 100)
 
 
 def test_cyclotomic_large_prime_is_cached_all_ones():

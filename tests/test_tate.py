@@ -14,15 +14,17 @@ from conftest import cyclotomic_suite, instance_suite, random_weil
 from oracles import (
     PrecisionInsufficientError,
     _classify_distance,
+    carmichael_lambda,
     tate_dim_numeric,
     unfiltered_scan,
 )
-from tatecycles import polycore
+from tatecycles import polycore, tate
 from tatecycles.polycore import (
     BudgetExceededError,
     IntPoly,
-    carmichael_lambda,
+    InternalError,
     cyclotomic,
+    cyclotomic_multiplicity,
     euler_phi,
     factorization,
 )
@@ -43,7 +45,7 @@ from tatecycles.tate import (
     tate_profile,
     totient_bounded_set,
 )
-from tatecycles.weil import base_change, product_variety, validate_weil, weil_from_trace
+from tatecycles.weil import base_change, h_charpoly, product_variety, validate_weil, weil_from_trace
 
 
 def _supersingular_exe(q=5):
@@ -167,15 +169,40 @@ def _pocklington_prime(n, F):
     return True
 
 
+def _unit_group_exponent(m):
+    """Least e with a^e = 1 (mod m) for every unit a; it divides the group
+    order (Lagrange), so only divisors of the number of units are tried."""
+    units = [a for a in range(1, m + 1) if gcd(a, m) == 1]
+    for e in range(1, len(units) + 1):
+        if len(units) % e == 0 and all(pow(a, e, m) == 1 % m for a in units):
+            return e
+
+
+def test_carmichael_lambda_matches_unit_group_exponent():
+    assert [carmichael_lambda(m) for m in (1, 2, 4, 8, 16, 9, 27, 25, 343, 1331)] == [
+        1, 1, 2, 2, 4, 6, 18, 20, 294, 1210,
+    ]
+    assert all(carmichael_lambda(m) == _unit_group_exponent(m) for m in range(1, 2001))
+    # beyond the scan: lambda(2^e) = 2^(e-2) for e >= 3, lambda(p^e) = phi(p^e)
+    # for odd p, and lambda(ab) = lcm(lambda(a), lambda(b)) for coprime a, b
+    for e in range(3, 40):
+        assert carmichael_lambda(2**e) == 2 ** (e - 2)
+    for p in (3, 5, 7, 101, 9973):
+        for e in range(1, 6):
+            assert carmichael_lambda(p**e) == (p - 1) * p ** (e - 1)
+    assert carmichael_lambda(2**5 * 3**4 * 101) == lcm(8, 54, 100)
+
+
 def _allowed_orders(bound, d):
     exponent = 2 * lcm(*range(1, d + 1))
     return [m for m in totient_bounded_set(bound) if exponent % carmichael_lambda(m) == 0]
 
 
 def _check_witnesses(l, witnesses):
-    for m, z in witnesses:
+    for m, z, w in witnesses:
         assert pow(z, m, l) == 1
         assert all(pow(z, m // r, l) != 1 for r, _ in factorization(m))
+        assert w == (z + pow(z, -1, l)) % l
 
 
 def test_witness_field_constants():
@@ -191,13 +218,22 @@ def test_witness_field_constants():
 
 
 def test_witness_table_lists_allowed_orders_to_d6():
+    # the (m, z_m, w_m) triples at every row's bound and at every bound below 200
+    for d in range(1, 7):
+        for bound in sorted({comb(2 * d, 2 * k) for k in range(d + 1)} | set(range(1, 200))):
+            witnesses = _witness_table(bound, d)
+            assert [m for m, _, _ in witnesses] == _allowed_orders(bound, d), (bound, d)
+            assert all(_L % m == 0 for m, _, _ in witnesses)
+            _check_witnesses(_P, witnesses)
+
+
+def test_witness_tables_feed_no_factorization_cache():
+    before = polycore._factorization.cache_info().currsize
+    _witness_table.cache_clear()
     for d in range(1, 7):
         for k in range(d + 1):
-            bound = comb(2 * d, 2 * k)
-            witnesses = _witness_table(bound, d)
-            assert [m for m, _ in witnesses] == _allowed_orders(bound, d)
-            assert all(_L % m == 0 for m, _ in witnesses)
-            _check_witnesses(_P, witnesses)
+            _witness_table(comb(2 * d, 2 * k), d)
+    assert polycore._factorization.cache_info().currsize == before
 
 
 def test_scan_raises_past_d6():
@@ -251,13 +287,58 @@ def test_scan_finds_smallest_and_largest_allowed_orders():
     allowed = _allowed_orders(70, 4)
     assert (allowed[0], allowed[-1], len(allowed)) == (1, 240, 56)
     for m, m2 in ((1, 240), (2, 240), (3, 210), (7, 168), (13, 35), (1, 2)):
+        # filled to degree 69 or 70 by T^2 - 3T + 1, self-reciprocal with no
+        # root of unity among its roots
         f = cyclotomic(m) ** 2 * cyclotomic(m2)
-        f = f * IntPoly([-2, 1]) ** (70 - f.degree)
+        f = f * IntPoly([1, -3, 1]) ** ((70 - f.degree) // 2)
         expected = tuple(sorted([(m, 2), (m2, 1)]))
         assert _cyclotomic_scan(f, 1, _witness_table(70, 4)) == expected
         # Q(T) = 9^70 f(T / 9), so that R(T) = Q(9T) = 9^70 f(T)
         Q = IntPoly([c * 9 ** (70 - i) for i, c in enumerate(f.coeffs)])
         assert _cyclotomic_scan(Q, 9, _witness_table(70, 4)) == expected
+
+
+def _scan_passes(Q, s, witnesses, monkeypatch):
+    """The m whose exact division _cyclotomic_scan runs: those that pass its
+    pre-test."""
+    passed = []
+
+    def spy(R, m):
+        passed.append(m)
+        return cyclotomic_multiplicity(R, m)
+
+    monkeypatch.setattr(tate, "cyclotomic_multiplicity", spy)
+    _cyclotomic_scan(Q, s, witnesses)
+    monkeypatch.undo()
+    return passed
+
+
+def test_pretest_passes_exactly_the_roots_of_R_mod_P(monkeypatch):
+    # the half-length test at w_m against R(z_m) = 0 mod P by plain Horner
+    odd_rows = set()
+    for w in instance_suite(40, d_max=5, seed=36) + cyclotomic_suite(d_max=5):
+        for k in range(w.d // 2 + 1):
+            Q = h_charpoly(w, 2 * k)
+            R = [c % _P for c in reversed(Q.scale_variable(w.q**k).coeffs)]
+            witnesses = _witness_table(comb(2 * w.d, 2 * k), w.d)
+            roots = []
+            for m, z, _ in witnesses:
+                acc = 0
+                for c in R:
+                    acc = (acc * z + c) % _P
+                if acc == 0:
+                    roots.append(m)
+            assert _scan_passes(Q, w.q**k, witnesses, monkeypatch) == roots, (w, k)
+            if len(R) % 2 == 0:
+                odd_rows.add((w.d, k))
+    assert {(3, 1), (5, 1)} <= odd_rows
+
+
+def test_scan_rejects_a_ratio_polynomial_that_is_not_self_reciprocal():
+    # the root 2 of T - 2 has no partner 1/2
+    for f in (IntPoly([-2, 1]), cyclotomic(5) * IntPoly([-2, 1]), cyclotomic(1) * IntPoly([1, -3, 2])):
+        with pytest.raises(InternalError):
+            _cyclotomic_scan(f, 1, _witness_table(f.degree, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ for byte:
   per prime);
 - three least non-split bound reports: the search at c = 200 (exact_value
   from a second, wider evaluation) and at |D| near 10^6, and the bound at
-  1024 bits.
+  1024 bits;
+- two d = 5 tate reports, which hold the cyclotomic scan on a ratio
+  polynomial of odd degree (N = 45 at k = 1) and on the N = 210 row.
 
 Each command runs as ``python -m tatecycles`` in a fresh process with this
 checkout's ``src`` first on PYTHONPATH.  One Markdown line per command goes
@@ -51,6 +53,14 @@ PINS = (
     (
         "bounds nonsplit --nk 2 --log-dk 3 --exceptional unknown --log-dl 500 --n 2 --precision 1024 --json",
         "ca706118d68645833d421b1af18153ba100da20feb864a06d3c8d59f9fc145a4",
+    ),
+    (
+        "tate --poly 16807,-21609,20580,-13083,6923,-2832,989,-267,60,-9,1 --q 7 --json",
+        "674c31944e7d77e7438ef8557599ff5b398a54315232a1ca28e7516e1937ce20",
+    ),
+    (
+        "tate --poly 3125,-1250,1125,-425,320,-142,64,-17,9,-2,1 --q 5 --json",
+        "3c3ce9b9c1938065a138bf9adfeaf2c2972c086c22ee887f3e2ff9ed36c00955",
     ),
 )
 
