@@ -159,6 +159,11 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _chi_table(D: int) -> list[int]:
+    """(D|c) for c = 0..|D| - 1; for a fundamental D, (D|p) is entry p % |D|."""
+    return [kronecker_symbol(D, c) for c in range(abs(D))]
+
+
 def fundamental_discriminant(D: int) -> int:
     """Discriminant of Q(sqrt(D)): the squarefree part s of D, sign kept, if
     s = 1 mod 4, otherwise 4s."""
@@ -555,12 +560,13 @@ def exe_survey(D: int, p_max: int) -> Iterator[SurveyRow | DensityReport]:
 
 def _survey_rows(D: int, p_max: int):
     split = inert = excluded = stable_6 = 0
+    chi_of = _chi_table(D)  # D is fundamental, so (D|p) is chi_of[p % -D]
     for start, flags in _prime_windows(p_max):
         traces = array("I", [0]) * len(flags)  # |a_p| of the window's split primes, by offset
         for n, x, y in _norm_points(-D, start, flags):
             traces[n - start] = _cm_ap(D, x, y)
         for p in itertools.compress(range(start, start + len(flags)), flags):
-            chi = kronecker_symbol(D, p)  # D is fundamental and p prime
+            chi = chi_of[p % -D]
             if p in (2, 3) or D % p == 0:
                 excluded += 1
                 yield SurveyRow(p, chi, None, "bad-or-excluded", None, None, None)
@@ -728,7 +734,7 @@ def pi_K_count(D: int, x: int) -> PiKResult:
     count += sum(r < q <= x for q, _ in factorization(m))  # ramified above sqrt(x)
     if m <= SIEVE_SEGMENT and m * x.bit_length() < x:  # m below about pi(x)
         block = m * max(1, SIEVE_SEGMENT // 32 // m)
-        split = bytes(kronecker_symbol(D, c) == 1 for c in range(m))
+        split = bytes(chi == 1 for chi in _chi_table(D))
         mask = int.from_bytes(split * (block // m), "little")
         for _, seg in _segments(x, base, m):
             view = memoryview(seg)

@@ -171,10 +171,7 @@ class IntPoly(Record):
 
     def __call__(self, x: int) -> int:
         """Evaluate at an integer point (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _value(self.coeffs, x)
 
     def scale_variable(self, s: int) -> "IntPoly":
         """Return f(sT), i.e. multiply the T^i coefficient by s^i."""
@@ -564,21 +561,32 @@ def compound_matrix(A, r: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # gcd, squarefree structure and real-root counts
 #
-# One integer pseudo-remainder sequence serves all of them.  ``_prem`` scales
-# the dividend by a power of |lc(b)| so that every step of IntPoly.__divmod__
-# is exact, then divides out the positive content; signs are kept, so the
-# same sequence is a Sturm chain.  Dividing by a primitive gcd is exact over
-# the integers by Gauss's lemma.
+# One integer pseudo-remainder sequence on coefficient lists serves all of
+# them.  ``_prem`` scales the dividend by a power of |lc(b)| so that every
+# elimination step is exact, then divides out the positive content; signs are
+# kept, so the same sequence is a Sturm chain, which ends in gcd(f, f') even
+# when f has repeated roots.  Dividing by a primitive gcd is exact over the
+# integers by Gauss's lemma.
 
-def _primitive(f: IntPoly) -> IntPoly:
-    """f divided by its positive content (the gcd of its coefficients)."""
-    content = gcd(*f.coeffs)
-    return IntPoly([c // content for c in f.coeffs]) if content > 1 else f
+def _primitive(cs: "list[int] | tuple[int, ...]") -> "list[int] | tuple[int, ...]":
+    """The coefficients cs divided by their positive content (their gcd)."""
+    content = gcd(*cs)
+    return [c // content for c in cs] if content > 1 else cs
 
 
-def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive part of the remainder of |lc(b)|^(deg a - deg b + 1) * a by b."""
-    _, r = divmod(a * abs(b.leading) ** (a.degree - b.degree + 1), b)
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the remainder of |lc(b)|^(deg a - deg b + 1) * a by
+    b, for coefficient lists with no trailing zeros and deg a >= deg b >= 0."""
+    lead, n = abs(b[-1]), len(b) - 1
+    r = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        # |lc(b)| r - sgn(lc(b)) top T^i b drops the top coefficient of r
+        top = r.pop() if b[-1] > 0 else -r.pop()
+        r = [lead * c for c in r]
+        for j in range(n):
+            r[i + j] -= top * b[j]
+    while r and r[-1] == 0:
+        r.pop()
     return _primitive(r)
 
 
@@ -589,11 +597,12 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     >>> poly_gcd(IntPoly([-2, 1, 1]), IntPoly([-4, 0, 2]))   # (T-1)(T+2), 2(T^2-2)
     IntPoly('1')
     """
-    if a.degree < b.degree:
+    a, b = a.coeffs, b.coeffs
+    if len(a) < len(b):
         a, b = b, a
-    while not b.is_zero():
+    while b:
         a, b = b, _prem(a, b)
-    g = _primitive(a)
+    g = IntPoly(_primitive(a))
     return -g if g.coeffs and g.leading < 0 else g
 
 
@@ -632,16 +641,42 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-def _sign_changes(chain: list[IntPoly], x: int) -> int:
-    signs = [v > 0 for v in (p(x) for p in chain) if v]
+def _value(f: "list[int] | tuple[int, ...]", x: int) -> int:
+    """f(x) for a coefficient list f, by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _sturm_counts(f: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """(distinct real roots in [lo, hi], distinct roots) of a nonzero
+    coefficient list f with no trailing zeros, lo <= hi.  Roots at lo and hi
+    are counted and divided out; the chain f, f', -prem(f, f'), ... then ends
+    in g = gcd(f, f'), so deg f - deg g counts the rest, and as g has no root
+    at lo or hi, Sturm's theorem counts those in (lo, hi) as the drop in sign
+    changes (Basu, Pollack and Roy, section 2.2)."""
+    ends = 0
+    for x in {lo, hi}:
+        ends += _value(f, x) == 0
+        while _value(f, x) == 0:  # the quotient by T - x, from the top down
+            f = list(itertools.accumulate(f[:0:-1], lambda acc, c: acc * x + c))[::-1]
+    chain = [f, [i * c for i, c in enumerate(f)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _prem(chain[-2], chain[-1])])
+    chain.pop()
+    inside = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    return ends + inside, ends + len(f) - len(chain[-1])
+
+
+def _sign_changes(chain: list[list[int]], x: int) -> int:
+    signs = [v > 0 for v in (_value(p, x) for p in chain) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def real_root_count(f: IntPoly, lo: int, hi: int) -> int:
-    """Number of distinct real roots of f in the closed interval [lo, hi].
-
-    Roots at the endpoints are divided out and counted first; Sturm's theorem
-    counts the rest as the drop in sign changes along f, f', -prem(f, f'), ...
+    """Number of distinct real roots of f in the closed interval [lo, hi]:
+    the roots at lo and hi, then a Sturm count of the rest (``_sturm_counts``).
 
     >>> real_root_count(IntPoly([-2, 0, 1]) * IntPoly([1, 0, 1]), 0, 2)   # (T^2-2)(T^2+1)
     1
@@ -652,13 +687,4 @@ def real_root_count(f: IntPoly, lo: int, hi: int) -> int:
         raise ValueError("zero polynomial")
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    count = 0
-    for x in {lo, hi}:
-        count += f(x) == 0
-        while f(x) == 0:
-            f = f // IntPoly([-x, 1])
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-_prem(chain[-2], chain[-1]))
-    chain.pop()
-    return count + _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    return _sturm_counts(list(f.coeffs), lo, hi)[0]

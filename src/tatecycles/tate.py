@@ -146,6 +146,13 @@ _SCAN_D_MAX = 6
 
 
 @lru_cache(maxsize=None)
+def _root_pair(r: int) -> tuple[int, int]:
+    """g_r = _G^(_L/r), of exact order r for r | _L, and 1/g_r in F_P."""
+    g = pow(_G, _L // r, _P)
+    return g, pow(g, -1, _P)
+
+
+@lru_cache(maxsize=None)
 def _witness_table(bound: int, d: int) -> tuple[tuple[int, int, int], ...]:
     """Triples (m, z_m, w_m), ascending in m, of the m with phi(m) <= bound
     and lambda(m) | 2 lcm(1..d); z_m has exact order m in F_P and
@@ -155,7 +162,7 @@ def _witness_table(bound: int, d: int) -> tuple[tuple[int, int, int], ...]:
     The m are the products of prime powers r || _L over distinct primes, found
     depth first with phi(m) carried down each branch.  lambda(m) is the lcm of
     the lambda(r), so it divides E_d when each lambda(r) does, and z_m is the
-    product of the g_r = _G^(_L/r): one pow and one inverse per prime power."""
+    product of the g_r of ``_root_pair``, made once per process."""
     if d > _SCAN_D_MAX:
         raise BudgetExceededError(f"the cyclotomic scan covers dimension d <= {_SCAN_D_MAX}")
     exponent = 2 * lcm(*range(1, d + 1))
@@ -166,8 +173,7 @@ def _witness_table(bound: int, d: int) -> tuple[tuple[int, int, int], ...]:
             phi = (p - 1) * p ** (i - 1)
             if phi > bound or exponent % (phi >> (p == 2 and i >= 3)):
                 break  # phi(p^i) and lambda(p^i) divide those of p^(i+1)
-            g = pow(_G, _L // p**i, _P)
-            row.append((p**i, phi, g, pow(g, -1, _P)))
+            row.append((p**i, phi, *_root_pair(p**i)))
         powers.append(row)
     out = []
 
@@ -190,7 +196,7 @@ def _cyclotomic_scan(Q: IntPoly, s: int, witnesses: tuple[tuple[int, int, int], 
     the module docstring), so the scan is complete only for R built from a
     Weil polynomial of the table's d.  Raises InternalError if R is neither
     palindromic nor anti-palindromic, which no Weil polynomial gives."""
-    R = _primitive(Q.scale_variable(s))
+    R = IntPoly(_primitive(Q.scale_variable(s).coeffs))
     c = R.coeffs
     divided = []  # the orders, 1 and 2, of the roots T = 1 and T = -1 divided out
     if c != c[::-1]:

@@ -28,17 +28,16 @@ from .polycore import (
     IntPoly,
     Record,
     _newton_coefficients,
+    _sturm_counts,
     factorization,
     from_power_sums,
     power_sums,
-    real_root_count,
-    squarefree_part,
 )
 
 # Nothing here calls these any more.  bench/tracer.py wraps them under these
-# names (the compound-matrix route and Yun's decomposition), so they stay
-# bound until the benchmark drops those probes.
-from .polycore import charpoly, compound_matrix, squarefree_decomposition  # noqa: F401
+# names (the compound-matrix route, the squarefree part and Yun's
+# decomposition), so they stay bound until the benchmark drops those probes.
+from .polycore import charpoly, compound_matrix, squarefree_decomposition, squarefree_part  # noqa: F401
 
 __all__ = [
     "WeilPoly",
@@ -82,6 +81,9 @@ def _characteristic(q: int) -> int:
 
 
 def _root_moduli_ok(f: IntPoly, q: int) -> bool:
+    """Whether every root of f has modulus sqrt(q): one Sturm chain of H
+    below gives its distinct roots in [0, 4q] and, as deg H - deg gcd(H, H'),
+    all its distinct roots; f passes when the counts agree."""
     # Read h with f(T) = T^d h(T + q/T) off the top half of f, highest
     # coefficient first: T^d (T + q/T)^k = sum_i C(k, i) q^i T^(d+k-2i).
     d = f.degree // 2
@@ -92,10 +94,15 @@ def _root_moduli_ok(f: IntPoly, q: int) -> bool:
         for i in range(1, k // 2 + 1):
             top[k - 2 * i] -= h[k] * comb(k, i) * q**i
     # With h(x) = E(x^2) + x O(x^2), H(u) = E(u)^2 - u O(u)^2 has the roots
-    # x_i^2 of h, and x_i is real with |x_i| <= 2 sqrt(q) iff x_i^2 is in [0, 4q].
-    E, O = IntPoly(h[0::2]), IntPoly(h[1::2])
-    sf = squarefree_part(E * E - IntPoly([0, 1]) * O * O)
-    return real_root_count(sf, 0, 4 * q) == sf.degree
+    # x_i^2 of h, and x_i is real with |x_i| <= 2 sqrt(q) iff x_i^2 is in
+    # [0, 4q].  h is monic, so H has degree d and leading coefficient +-1.
+    H = [0] * (d + 1)
+    for part, shift, sign in ((h[0::2], 0, 1), (h[1::2], 1, -1)):
+        for i, a in enumerate(part):
+            for j, b in enumerate(part):
+                H[i + j + shift] += sign * a * b
+    inside, distinct = _sturm_counts(H, 0, 4 * q)
+    return inside == distinct
 
 
 def validate_weil(f: IntPoly, q: int) -> WeilPoly:
@@ -104,7 +111,8 @@ def validate_weil(f: IntPoly, q: int) -> WeilPoly:
     Checks, in order: q is a prime power, f is monic of positive even degree,
     constant term q^d, the exact functional equation
     T^{2d} f(q/T) = q^d f(T), and that every root has modulus sqrt(q), by
-    an exact Sturm count on the real-root polynomial h of f.
+    one exact Sturm chain on H(u) = E(u)^2 - u O(u)^2, where
+    h(x) = E(x^2) + x O(x^2) is the real-root polynomial of f.
 
     >>> validate_weil(IntPoly([5, 0, 1]), 5).d
     1

@@ -131,7 +131,7 @@ def unfiltered_scan(w: WeilPoly, k: int) -> tuple[tuple[int, int], ...]:
     Phi_m is primitive, so by Gauss's lemma its multiplicity in R is the one
     in the primitive part of R, which is what is divided (and cached)."""
     Q = h_charpoly_full(w, 2 * k) if k else IntPoly([-1, 1])
-    return _divide_by_every_cyclotomic(_primitive(Q.scale_variable(w.q**k)))
+    return _divide_by_every_cyclotomic(IntPoly(_primitive(Q.scale_variable(w.q**k).coeffs)))
 
 
 @lru_cache(maxsize=None)

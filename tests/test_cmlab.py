@@ -567,6 +567,13 @@ def test_exe_survey_rows_examples():
     assert abs(fr["split"] + fr["inert"] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("D", CLASS_NUMBER_ONE_DISCS)
+def test_exe_survey_reads_chi_off_the_residue_table(D):
+    # the survey takes (D|p) from a table of the |D| symbols, by p mod |D|
+    *rows, _ = exe_survey(D, 3000)
+    assert [r.kronecker for r in rows] == [kronecker_symbol(D, p) for p in primes_up_to(3000)]
+
+
 def test_exe_survey_rank_classification():
     *rows, _ = exe_survey(-11, 500)
     for r in rows:

@@ -17,6 +17,7 @@ from tatecycles.polycore import (
     IntPoly,
     InternalError,
     PolyFormatError,
+    _sturm_counts,
     charpoly,
     compound_matrix,
     cyclotomic,
@@ -518,6 +519,24 @@ def test_real_root_count_matches_brute_force():
         hi = lo + rng.randint(0, 8)
         expected = sum(lo <= r <= hi for r in roots)
         assert real_root_count(f, lo, hi) == expected, (f, lo, hi)
+
+
+def test_sturm_counts_read_distinct_roots_off_the_chain():
+    # the second count, deg f - deg gcd(f, f') after the endpoint roots are
+    # divided out, is the degree of the squarefree part, with roots at lo and
+    # hi and repeated factors of every kind
+    rng = random.Random(341)
+    for _ in range(300):
+        lo = rng.randint(-4, 4)
+        hi = lo + rng.randint(0, 5)
+        f = IntPoly([rng.choice([1, -2, 3])])
+        for _ in range(rng.randint(1, 5)):
+            factor = IntPoly([-rng.choice([lo, hi, rng.randint(-6, 6)]), 1])
+            if rng.random() < 0.3:
+                factor = IntPoly(list(_irreducible_quadratic(rng)[::-1]) + [1])
+            f = f * factor ** rng.randint(1, 3)
+        counts = _sturm_counts(list(f.coeffs), lo, hi)
+        assert counts == (real_root_count(f, lo, hi), squarefree_part(f).degree), (f, lo, hi)
 
 
 def test_real_root_count_rejects_bad_input():

@@ -37,6 +37,7 @@ from tatecycles.tate import (
     N_REPORT_BUDGET,
     _cyclotomic_scan,
     _pairs,
+    _root_pair,
     _unity_ratio_multiplicities,
     _witness_table,
     degree_bound,
@@ -228,12 +229,17 @@ def test_witness_table_lists_allowed_orders_to_d6():
 
 
 def test_witness_tables_feed_no_factorization_cache():
+    # built twice over, the tables also take each g_r of the 15 prime powers
+    # r || _L from one pow, made the first time r is reached
     before = polycore._factorization.cache_info().currsize
-    _witness_table.cache_clear()
-    for d in range(1, 7):
-        for k in range(d + 1):
-            _witness_table(comb(2 * d, 2 * k), d)
+    _root_pair.cache_clear()
+    for _ in range(2):
+        _witness_table.cache_clear()
+        for d in range(1, 7):
+            for k in range(d + 1):
+                _witness_table(comb(2 * d, 2 * k), d)
     assert polycore._factorization.cache_info().currsize == before
+    assert _root_pair.cache_info().misses == 15
 
 
 def test_scan_raises_past_d6():

@@ -10,9 +10,10 @@ from mpmath import mp
 
 from conftest import instance_suite, random_weil
 from oracles import companion, complex_roots, h_charpoly_full, matrix_power
-from tatecycles.polycore import IntPoly, charpoly, compound_matrix, factorization
+from tatecycles.polycore import IntPoly, charpoly, compound_matrix, factorization, real_root_count, squarefree_part
 from tatecycles.weil import (
     WeilValidationError,
+    _root_moduli_ok,
     base_change,
     h_charpoly,
     product_variety,
@@ -87,7 +88,7 @@ def test_weil_from_trace_matches_validate():
 
 
 def test_validate_repeated_root_input():
-    # (T^2+5)^2 given directly: the exact gate takes the squarefree part of
+    # (T^2+5)^2 given directly: the exact gate counts the distinct roots of
     # the real-root polynomial, so repeated roots are counted once
     w = validate_weil(IntPoly([25, 0, 10, 0, 1]), 5)
     assert w.d == 2
@@ -178,6 +179,59 @@ def test_gate_matches_root_moduli_oracle():
         assert verdict == _moduli_oracle(f, q), (h, q)
         accepted += verdict
     assert 500 < accepted < 1500
+
+
+def _two_pass_verdict(h: list[int], q: int) -> tuple[bool, IntPoly]:
+    # the rule the one-chain gate replaces: the squarefree part of
+    # H(u) = E(u)^2 - u O(u)^2 has all its roots in [0, 4q]
+    E, O = IntPoly(h[0::2]), IntPoly(h[1::2])
+    H = E * E - IntPoly([0, 1]) * O * O
+    sf = squarefree_part(H)
+    return real_root_count(sf, 0, 4 * q) == sf.degree, H
+
+
+def test_gate_matches_two_pass_rule():
+    # 2,400 functional-equation polynomials, d = 1..7, q square in two draws
+    # of five: h is a product of linear and quadratic factors, each raised to
+    # a random power (so f has repeated factors E^k), with traces 0 (a root
+    # of H at 0), +-2 sqrt(q) over square q (a root of H at 4q), one beyond
+    # the Hasse interval, and quadratics that may have complex roots; one
+    # draw in five then moves the constant term of h by one, a near miss
+    rng = random.Random(34)
+    prime_powers = [q for q in range(2, 128) if len(factorization(q)) == 1]
+    squares = [q for q in prime_powers if isqrt(q) ** 2 == q]
+    seen = dict.fromkeys(("accepted", "rejected", "repeated", "root at 0", "root at 4q", "nudged"), 0)
+    for _ in range(2400):
+        q = rng.choice(squares if rng.random() < 0.4 else prime_powers)
+        d = rng.randint(1, 7)
+        s = isqrt(4 * q)
+        h = IntPoly([1])
+        while h.degree < d:
+            room, pick = d - h.degree, rng.random()
+            if pick < 0.15 and room >= 2:
+                factor = IntPoly([rng.randint(-2 * q, 4 * q), rng.randint(-s, s), 1])
+            elif pick < 0.3:
+                factor = IntPoly([0, 1])
+            elif pick < 0.45 and s * s == 4 * q:
+                factor = IntPoly([rng.choice((s, -s)), 1])
+            elif pick < 0.55:
+                factor = IntPoly([rng.choice((s + 1, -s - 1)), 1])
+            else:
+                factor = IntPoly([rng.randint(-s, s), 1])
+            h = h * factor ** min(rng.choice((1, 1, 2, 3)), room // factor.degree)
+        h = list(h.coeffs)
+        if rng.random() < 0.2:
+            h[0] += rng.choice((1, -1))
+            seen["nudged"] += 1
+        f = _from_real_root_poly(h, q)
+        expected, H = _two_pass_verdict(h, q)
+        assert _root_moduli_ok(f, q) == expected, (h, q)
+        assert _gate_accepts(f, q) == expected, (h, q)
+        seen["accepted" if expected else "rejected"] += 1
+        seen["repeated"] += squarefree_part(H).degree < H.degree
+        seen["root at 0"] += H(0) == 0
+        seen["root at 4q"] += H(4 * q) == 0
+    assert min(seen.values()) >= 300, seen
 
 
 def test_validate_weil_calls_no_numerics(monkeypatch):

@@ -15,7 +15,10 @@ for byte:
   from a second, wider evaluation) and at |D| near 10^6, and the bound at
   1024 bits;
 - two d = 5 tate reports, which hold the cyclotomic scan on a ratio
-  polynomial of odd degree (N = 45 at k = 1) and on the N = 210 row.
+  polynomial of odd degree (N = 45 at k = 1) and on the N = 210 row;
+- two tate reports whose Weil gate meets repeated roots: (T - 2)^4 over
+  F_4, whose H has a repeated root at the endpoint 4q, and the d = 3
+  ordinary product (T^2 - T + 5)^2 (T^2 - 3T + 5) over F_5.
 
 Each command runs as ``python -m tatecycles`` in a fresh process with this
 checkout's ``src`` first on PYTHONPATH.  One Markdown line per command goes
@@ -62,6 +65,8 @@ PINS = (
         "tate --poly 3125,-1250,1125,-425,320,-142,64,-17,9,-2,1 --q 5 --json",
         "3c3ce9b9c1938065a138bf9adfeaf2c2972c086c22ee887f3e2ff9ed36c00955",
     ),
+    ("tate --poly 16,-32,24,-8,1 --q 4 --json", "3d89790e4deb57e714a05b08c53c628b56af4f2236c4f3cd958d9b85bd4983cc"),
+    ("tate --poly 125,-125,110,-53,22,-5,1 --q 5 --json", "94f6f30e98b58bc53c1c589fc122a219c1b6ddeb88c87d34d70b2235d16e9606"),
 )
 
 
