@@ -25,7 +25,7 @@ call and return a one-shot iterator of the rows, then a summary whose
 ``_exe_row``, which reads the E x E ranks off a^2/p (Niven's theorem) with
 no Weil polynomial, and keep their counts as the rows pass, so the rows can
 be written as they are made.  ``pi_K_count`` counts split primes off the
-same segments, through one bit mask of the split residue classes.  No
+same windows through XORed tables of the genus characters of D.  No
 sweep's memory grows with its range.
 """
 
@@ -84,51 +84,31 @@ SIEVE_SEGMENT = 1 << 17  # bytes sieved at a time above sqrt(x): the sweeps' mem
 # primes and quadratic symbols
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n (simple byte sieve)."""
+    """All primes <= n, off ``_prime_windows(n)``, which sieves by primes_up_to(isqrt(n))."""
     if n < 2:
         return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
-    return list(itertools.compress(range(n + 1), sieve))
-
-
-def _segments(x: int, base: list[int], align: int = 1):
-    """(start, seg) pairs that sieve (isqrt(x), x] a segment at a time:
-    seg[i] is 1 exactly when start + i is a prime above isqrt(x).
-
-    ``base`` is primes_up_to(isqrt(x)).  Each segment starts at a multiple of
-    ``align`` (at most SIEVE_SEGMENT) and, but the last, spans a multiple of
-    it, at most SIEVE_SEGMENT bytes; the entries below isqrt(x) + 1 in the
-    first segment are 0.
-    """
-    lo = isqrt(x) + 1
-    step = SIEVE_SEGMENT - SIEVE_SEGMENT % align
-    for start in range(lo - lo % align, x + 1, step):
-        n = min(step, x + 1 - start)
-        seg = bytearray(b"\x01") * n
-        if start < lo:
-            seg[:lo - start] = bytes(lo - start)
-        for p in base:
-            first = max(p * p, -(-start // p) * p) - start
-            if first < n:
-                seg[first::p] = bytearray((n - 1 - first) // p + 1)  # bytes would be copied into a bytearray first
-        yield start, seg
+    return [p for start, flags in _prime_windows(n)
+            for p in itertools.compress(range(start, start + len(flags)), flags)]
 
 
 def _prime_windows(x: int):
     """(start, flags) windows that cover [0, x] in ascending order, flags[i]
     1 exactly when start + i is a prime: first [0, isqrt(x)] with the primes
-    from primes_up_to(isqrt(x)), then the sieve segments."""
+    from primes_up_to(isqrt(x)), then (isqrt(x), x] sieved by them in
+    segments of SIEVE_SEGMENT bytes (the last one shorter)."""
     base = primes_up_to(isqrt(x))
     flags = bytearray(isqrt(x) + 1)
     for p in base:
         flags[p] = 1
     yield 0, flags
-    yield from _segments(x, base)
+    for start in range(len(flags), x + 1, SIEVE_SEGMENT):
+        n = min(SIEVE_SEGMENT, x + 1 - start)
+        seg = bytearray(b"\x01") * n
+        for p in base:
+            first = max(p * p, -(-start // p) * p) - start
+            if first < n:
+                seg[first::p] = bytearray((n - 1 - first) // p + 1)  # bytes would be copied into a bytearray first
+        yield start, seg
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -159,9 +139,16 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _chi_table(D: int) -> list[int]:
-    """(D|c) for c = 0..|D| - 1; for a fundamental D, (D|p) is entry p % |D|."""
-    return [kronecker_symbol(D, c) for c in range(abs(D))]
+def _nonresidues(f: int) -> bytearray:
+    """Bytes 1 at the n < |f| (n < 8 for f = -4, 8, -8) with (f|n) = -1, for
+    f = 1 or a prime discriminant: (f|n) has period |f| (8), and for
+    f = +-q = 1 mod 4 it is (n|q), so the table is 1 off 0 and the squares."""
+    if f % 2 == 0:
+        return bytearray(kronecker_symbol(f, n) == -1 for n in range(8))
+    table = bytearray(b"\x01") * abs(f)
+    for i in range(abs(f) // 2 + 1):
+        table[i * i % abs(f)] = 0
+    return table
 
 
 def fundamental_discriminant(D: int) -> int:
@@ -560,13 +547,13 @@ def exe_survey(D: int, p_max: int) -> Iterator[SurveyRow | DensityReport]:
 
 def _survey_rows(D: int, p_max: int):
     split = inert = excluded = stable_6 = 0
-    chi_of = _chi_table(D)  # D is fundamental, so (D|p) is chi_of[p % -D]
+    nonres = _nonresidues(D)  # each D here is a prime discriminant
     for start, flags in _prime_windows(p_max):
         traces = array("I", [0]) * len(flags)  # |a_p| of the window's split primes, by offset
         for n, x, y in _norm_points(-D, start, flags):
             traces[n - start] = _cm_ap(D, x, y)
         for p in itertools.compress(range(start, start + len(flags)), flags):
-            chi = chi_of[p % -D]
+            chi = 0 if D % p == 0 else 1 - 2 * nonres[p % len(nonres)]
             if p in (2, 3) or D % p == 0:
                 excluded += 1
                 yield SurveyRow(p, chi, None, "bad-or-excluded", None, None, None)
@@ -706,19 +693,16 @@ def pi_K_count(D: int, x: int) -> PiKResult:
     """Number of prime ideals of Q(sqrt(D)) of norm <= x, with the
     logarithmic-integral comparison.
 
-    Split rational primes p <= x contribute two ideals of norm p, ramified
-    primes one, and inert primes one ideal of norm p^2 (counted when
-    p^2 <= x).  The primes up to sqrt(x) each get their symbol, the ramified
-    ones above it come from the factorization of |D|, and the split ones
-    above it are counted off a segmented sieve, with no list of them built.
-    For a fundamental D the symbol (D|p) depends only on p mod |D|.  When a
-    table of the |D| symbols costs fewer symbols than the primes do and
-    |D| <= SIEVE_SEGMENT, the segments are aligned to multiples of |D| and
-    read a block at a time, each block a multiple of |D| bytes (|D| or more,
-    near SIEVE_SEGMENT / 32): the block's bytes, read as one little-endian
-    integer, are masked by the split classes repeated across the block, and
-    the set bits are counted.  Otherwise each prime gets its own symbol.
-    Memory stays near SIEVE_SEGMENT bytes whatever x is.
+    Split rational primes p <= x give two ideals of norm p, ramified primes
+    one, and inert primes one of norm p^2 (counted when p <= isqrt(x)).  The
+    ramified primes, from the factorization of |D|, are cleared from the
+    windows of ``_prime_windows``.  By genus theory (D|p) is the product of
+    (f|p) over the prime discriminants f of D (q* = +-q = 1 mod 4 for each
+    odd q | D, and a 2-part), each a table of period |f|, ``_nonresidues(f)``,
+    merged while the period stays <= SIEVE_SEGMENT.  A window is read in
+    blocks of SIEVE_SEGMENT / 32 bytes, each as one integer masked by the XOR
+    of the tables at its offset.  The factors above that cap (a prime factor
+    of |D| may reach 10^12) share one symbol per prime instead of a table.
 
     >>> pi_K_count(-4, 10).count
     4
@@ -727,23 +711,39 @@ def pi_K_count(D: int, x: int) -> PiKResult:
         raise ValueError(f"{D} is not a fundamental discriminant")
     if x > PIK_BUDGET:
         raise BudgetExceededError(f"prime-ideal counting capped at x <= {PIK_BUDGET}")
-    m, r = abs(D), isqrt(x)
-    base = primes_up_to(r)
-    # p <= sqrt(x): two ideals if p splits, else one (of norm p or p^2 <= x)
-    count = sum(2 if kronecker_symbol(D, p) == 1 else 1 for p in base)
-    count += sum(r < q <= x for q, _ in factorization(m))  # ramified above sqrt(x)
-    if m <= SIEVE_SEGMENT and m * x.bit_length() < x:  # m below about pi(x)
-        block = m * max(1, SIEVE_SEGMENT // 32 // m)
-        split = bytes(chi == 1 for chi in _chi_table(D))
-        mask = int.from_bytes(split * (block // m), "little")
-        for _, seg in _segments(x, base, m):
-            view = memoryview(seg)
-            for i in range(0, len(seg), block):
-                count += 2 * (int.from_bytes(view[i:i + block], "little") & mask).bit_count()
-    else:
-        for start, seg in _segments(x, base):
-            primes = itertools.compress(range(start, start + len(seg)), seg)
-            count += 2 * sum(kronecker_symbol(D, p) == 1 for p in primes)
+    block = SIEVE_SEGMENT // 32
+    ramified = [q for q, _ in factorization(abs(D))]
+    factors = [q if q % 4 == 1 else -q for q in ramified if q > 2]
+    factors.append(D // prod(factors))  # the 2-part: 1, -4, 8 or -8
+    big = prod(f for f in factors if abs(f) > SIEVE_SEGMENT)  # (big|p) is the product of their symbols
+    tables = []  # tables of coprime periods merge by the Chinese remainder theorem, up to SIEVE_SEGMENT
+    for t in sorted((_nonresidues(f) for f in factors if abs(f) <= SIEVE_SEGMENT), key=len):
+        if tables and len(tables[-1]) * len(t) <= SIEVE_SEGMENT:
+            u = tables.pop()
+            t = (int.from_bytes(u * len(t), "big") ^ int.from_bytes(t * len(u), "big")).to_bytes(len(u) * len(t), "big")
+        tables.append(t)
+    # [period, the table repeated to period + block bytes, last offset, its mask]
+    tables = [[len(t), memoryview(t * (block // len(t) + 1) + t[:block % len(t)]), -1, 0] for t in tables]
+    marks = bytearray(SIEVE_SEGMENT) if big != 1 else None
+    ones = int.from_bytes(b"\x01" * block, "little")
+    count = sum(q <= x for q in ramified)
+    for start, flags in _prime_windows(x):
+        for q in ramified:
+            if start <= q < start + len(flags):
+                flags[q - start] = 0
+        if big != 1:
+            for p in itertools.compress(range(start, start + len(flags)), flags):
+                marks[p - start] = kronecker_symbol(big, p) == -1
+        view, split = memoryview(flags), 0
+        for i in range(0, len(flags), block):
+            mask = ones ^ int.from_bytes(marks[i:i + block], "little") if big != 1 else ones  # 1 at the split classes
+            for t in tables:
+                o = (start + i) % t[0]
+                if t[2] != o:
+                    t[2], t[3] = o, int.from_bytes(t[1][o:o + block], "little")
+                mask ^= t[3]
+            split += (int.from_bytes(view[i:i + block], "little") & mask).bit_count()
+        count += 2 * split if start else flags.count(1) + split  # an inert p <= isqrt(x) has p^2 <= x
     li = _li_offset(x) if x >= 2 else float("-inf")
     ratio = count / li if li > 0 else None
     return PiKResult(D=D, x=x, count=count, li_x=li, ratio=ratio)

@@ -98,7 +98,8 @@ _FUNDAMENTAL_2000 = fundamental_discriminants(2000)
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(D=st.sampled_from(_FUNDAMENTAL_2000), n=st.integers(0, 10**4) | st.integers(0, 10**15))
 def test_kronecker_symbol_is_periodic_mod_fundamental_discriminant(D, n):
-    # the pi_K character table reads (D|p) as (D|p mod |D|)
+    # a fundamental D is a character mod |D|: the genus-character tables of
+    # pi_K and the survey read (f|n) as (f|n mod |f|)
     assert kronecker_symbol(D, n) == kronecker_symbol(D, n % abs(D)) == kronecker_symbol(D, n + abs(D))
 
 
@@ -569,7 +570,8 @@ def test_exe_survey_rows_examples():
 
 @pytest.mark.parametrize("D", CLASS_NUMBER_ONE_DISCS)
 def test_exe_survey_reads_chi_off_the_residue_table(D):
-    # the survey takes (D|p) from a table of the |D| symbols, by p mod |D|
+    # the survey takes (D|p) from the non-residue table of the prime
+    # discriminant D, by p mod |D| (8 for -4 and -8), and 0 where p | D
     *rows, _ = exe_survey(D, 3000)
     assert [r.kronecker for r in rows] == [kronecker_symbol(D, p) for p in primes_up_to(3000)]
 
@@ -755,10 +757,10 @@ def test_pi_K_against_direct_ideal_enumeration():
 
 
 def test_pi_K_table_matches_per_prime_symbols():
-    # x on both sides of the rule that lets a table of the |D| symbols (and
-    # segments aligned to |D|) stand for the primes' own symbols: x = 5000 has
-    # 669 primes, x near |D| fewer than |D|, and the |D|-th prime p has
-    # exactly |D| primes up to it and |D| - 1 up to p - 1
+    # every fundamental |D| <= 300, so each 2-part (1, -4, 8, -8) with up to
+    # three odd primes: x = 1, 2, 3 (2 above isqrt(x)), x around |D| (a
+    # ramified prime at the top of the range), x at the |D|-th prime p and
+    # p - 1, and x = 5000 (one segment after the base window)
     primes = primes_up_to(10**4)
     for D in fundamental_discriminants(300):
         m = abs(D)
@@ -768,11 +770,10 @@ def test_pi_K_table_matches_per_prime_symbols():
 
 
 def test_pi_K_at_segment_and_alignment_boundaries():
-    # x = kS - 1, kS, kS + 1, and the ends of the segments aligned to |D|,
-    # which start at the multiple of |D| below isqrt(x) + 1 and step by the
-    # largest multiple of |D| up to S; and x where the last segment ends on a
-    # block boundary, and x +- 1 (a block is the largest multiple of |D| up to
-    # S / 32, or |D| itself)
+    # the windows and blocks: x = kS - 1, kS, kS + 1, x where (isqrt(x), x]
+    # is one short of, exactly or one past a whole number of S / 32 byte
+    # blocks, and x at multiples of |D| past the windows' starts, with tables
+    # of period 8 (for -4), 3, 5, 163 and 3 * 2663 read from every offset
     S = cmlab.SIEVE_SEGMENT
     for D in (-4, -3, 5, -163, 7989):
         m = abs(D)
@@ -786,14 +787,18 @@ def test_pi_K_at_segment_and_alignment_boundaries():
             lo = isqrt(x) + 1
             if (x + 1 - (lo - lo % m)) % (S - S % m) % block == 0:
                 xs |= {x - 1, x, x + 1}
+        for k in (1, 2):  # (isqrt(x), x] is k S + j blocks long
+            x = next(x for x in range(k * S, k * S + S // 16) if (x - isqrt(x)) % (S // 32) == 0)
+            xs |= {x - 1, x, x + 1}
         for x in sorted(xs):
             assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
 
 
 def test_pi_K_at_the_inert_boundary():
     # an inert p counts once x reaches p^2, which is where p joins the base
-    # primes up to isqrt(x)
-    for D, p in ((-4, 3), (-4, 7), (-4, 419), (-3, 5), (-3, 467), (5, 7), (-163, 2), (-163, 389)):
+    # window [0, isqrt(x)]
+    for D, p in ((-4, 3), (-4, 7), (-4, 419), (-3, 5), (-3, 467), (5, 7), (-163, 2), (-163, 389),
+                 (8, 3), (-8, 5), (-24, 13), (40, 7), (-40, 3), (-9240, 19), (-3234846615, 31)):
         assert kronecker_symbol(D, p) == -1, (D, p)
         for x in (p * p - 1, p * p):
             assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
@@ -809,22 +814,76 @@ def test_pi_K_ramified_primes_above_sqrt_x_and_above_x():
 
 
 def test_pi_K_each_counting_route():
-    # the split-class mask over blocks of several |D| (-163) or of one |D|
-    # (-10007), and one symbol per prime (|D| above the segment length, or a
-    # table dearer than the primes' symbols)
+    # a table whose offset moves from block to block (-163, -10007) and a
+    # prime above the cap (-131143: its symbol at each prime), at x with
+    # |D| log2 x below and above x, and at x below |D|
     S = cmlab.SIEVE_SEGMENT
     assert -131143 % 4 == 1 and is_fundamental_discriminant(-131143) and 131143 > S
-    # -10007 gets a class table at x = 3e5 (|D| log2 x < x) but not at 1e5
     assert 10007 * (3 * 10**5).bit_length() < 3 * 10**5 and 10007 * (10**5).bit_length() >= 10**5
     for D, x in ((-163, 3 * 10**5), (-10007, 3 * 10**5), (-131143, 3 * 10**5), (-10007, 10**5), (-131143, 200)):
         assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
 
 
+def test_pi_K_prime_factors_at_the_table_cap():
+    # 131071 is the largest prime <= S and gets a table; 131101, the least
+    # prime above S, gets its symbol at each prime: alone, times a small
+    # prime discriminant, with 131071 and a 2-part, and with 131111, the
+    # next prime, where one symbol serves the two factors above S
+    S = cmlab.SIEVE_SEGMENT
+    assert is_prime(131071) and is_prime(131101) and is_prime(131111) and 131071 <= S < 131101
+    assert not any(is_prime(q) for q in range(131072, 131101))
+    for D in (-131071, 131101, -393303, -655355, 655505, 8 * -131071 * 131101, 131101 * -131111):
+        assert is_fundamental_discriminant(D), D
+        for x in (0, 2, 3, 4, 1000, S - 1, S, S + 1, 2 * 10**5):
+            assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
+
+
+def test_pi_K_every_two_part():
+    # the 2-part 1, -4, 8 or -8 alone and with odd prime discriminants,
+    # from x = 0 to past the first window, and at x = 2, 3, 4 where the
+    # prime 2 lies above isqrt(x) and then below it
+    for D in (-4, 8, -8, 12, -20, -24, 24, 40, -40, 60, 5 * 13 * 8, -9240, 8 * -3 * 5 * -7 * -11 * 13):
+        assert is_fundamental_discriminant(D), D
+        for x in (0, 1, 2, 3, 4, 5, 8, 9, 24, 25, 1000, 2 * 10**5):
+            assert pi_K_count(D, x).count == pi_K_per_prime(D, x), (D, x)
+
+
+def test_pi_K_takes_no_symbol_per_prime_below_the_cap(monkeypatch):
+    # 1000001 = 101 * 9901: both tables are below the cap, so the number of
+    # Kronecker symbols does not grow with x
+    calls = []
+    symbol = cmlab.kronecker_symbol
+    monkeypatch.setattr(cmlab, "kronecker_symbol", lambda a, n: calls.append(n) or symbol(a, n))
+    counts = []
+    for x in (10**5, 10**6):
+        calls.clear()
+        pi_K_count(1000001, x)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
+def test_pi_K_prime_near_ten_million_builds_no_table():
+    # a table for 10000121 would be 10 MB; its symbols at the 9,592 primes
+    # to 10^5 keep the count within the segment's memory
+    assert is_prime(10000121) and is_fundamental_discriminant(10000121)
+    tracemalloc.start()
+    try:
+        count = pi_K_count(10000121, 10**5).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == pi_K_per_prime(10000121, 10**5)
+    assert peak < 1_000_000, peak
+
+
 def test_pi_K_memory_does_not_grow_with_x():
-    # the segments bound the memory: no list of primes, no symbol per prime,
-    # and no |D|-entry table for |D| above the segment length
+    # the windows bound the memory: no list of primes, no symbol per prime,
+    # and no table for a factor above the segment length; nine odd factors
+    # (-3234846615), one just below the cap (-131071) and two tables merged
+    # just below it (131048 = 8 * 16381) stay in it too
     pi_K_count(-4, 10**4)
-    for D, x in ((-4, 2 * 10**6), (-131143, 10**6), (40009, 10**7)):
+    for D, x in ((-4, 2 * 10**6), (-131143, 10**6), (40009, 10**7), (-3234846615, 10**6), (-131071, 10**6),
+                 (131048, 10**6)):
         tracemalloc.start()
         try:
             pi_K_count(D, x)

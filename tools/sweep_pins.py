@@ -7,10 +7,16 @@ for byte:
 - three noncm sweeps to 10^4: conductor 37, and y^2 = x^3 + x and
   y^2 = x^3 + 1, whose point counts reach the character sum as well as the
   order cut;
-- four prime-ideal counts to 10^7: D = -4 (one split class), D = 7989 (2,662
-  split classes) and D = 40009 (blocks of one |D|), all three off the
-  split-class mask, and D = -131143 (|D| above the segment length: one symbol
-  per prime);
+- seven prime-ideal counts to 10^7, all on the one genus-character route,
+  with tables for the prime discriminants of D up to SIEVE_SEGMENT:
+  D = -4 (the 2-part alone, whose table offset never moves from block to
+  block), D = 7989 = -3 * -2663 (two odd tables merged into one), D = 40009
+  (one prime table), D = -131143 (a prime above SIEVE_SEGMENT: its symbol
+  at each prime), D = 1000001 = 101 * 9901 (a composite |D| above
+  SIEVE_SEGMENT: two tables and no symbol per prime), D = 655505 =
+  5 * 131101 (one table and one prime above the cap) and D = -9240 =
+  8 * -3 * 5 * -7 * -11 (the 2-part 8 and four odd tables, merged); the
+  last three were taken on the parent of the genus-character route;
 - three least non-split bound reports: the search at c = 200 (exact_value
   from a second, wider evaluation) and at |D| near 10^6, and the bound at
   1024 bits;
@@ -51,6 +57,9 @@ PINS = (
     ("cm pik --disc 7989 --x 10000000 --json", "511a192238cd2d3816681864fd874da4d9751d605bc3a6fb85f78832d58e217f"),
     ("cm pik --disc 40009 --x 10000000 --json", "2043b69627784b420bb6f8f0399af7c156bb06996aa63deb2def890b0270a579"),
     ("cm pik --disc -131143 --x 10000000 --json", "cf482414decf1123d2d4bc46af05ccbc5e2cbefc697a8cc2d549111d03f854f4"),
+    ("cm pik --disc 1000001 --x 10000000 --json", "fae4c5dae922ed8298c1193f9d642f1276ef35a3e4afc7b84cbb0b8d1ecde121"),
+    ("cm pik --disc 655505 --x 10000000 --json", "083d8a0d527e87c232e3b214da7357e194bc7b8af788272e63f4219b324e2a57"),
+    ("cm pik --disc -9240 --x 10000000 --json", "c388096937cde50968db475b247e266fa0f9db7df54296a1e5b4d9f0df0cb96d"),
     ("cm nonsplit --disc -4 --c 200 --json", "b2a1645e8b768ddbb858a336d6c36f6c9fe5e7a0232e63d85bee3691a6835ac2"),
     ("cm nonsplit --disc 1000001 --c 0.5 --json", "1271f5c1e8fcfe1a3bb6b67f5e39deca71b82acd9c46fbfc7883f61d0456fbfb"),
     (
