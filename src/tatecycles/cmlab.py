@@ -84,11 +84,16 @@ SIEVE_SEGMENT = 1 << 17  # bytes sieved at a time above sqrt(x): the sweeps' mem
 # primes and quadratic symbols
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, off ``_prime_windows(n)``, which sieves by primes_up_to(isqrt(n))."""
+    """All primes <= n (simple byte sieve)."""
     if n < 2:
         return []
-    return [p for start, flags in _prime_windows(n)
-            for p in itertools.compress(range(start, start + len(flags)), flags)]
+    sieve = bytearray(b"\x01") * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            start = p * p
+            sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def _prime_windows(x: int):
@@ -141,7 +146,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 def _nonresidues(f: int) -> bytearray:
     """Bytes 1 at the n < |f| (n < 8 for f = -4, 8, -8) with (f|n) = -1, for
-    f = 1 or a prime discriminant: (f|n) has period |f| (8), and for
+    f a prime discriminant: (f|n) has period |f| (8), and for
     f = +-q = 1 mod 4 it is (n|q), so the table is 1 off 0 and the squares."""
     if f % 2 == 0:
         return bytearray(kronecker_symbol(f, n) == -1 for n in range(8))
@@ -698,11 +703,11 @@ def pi_K_count(D: int, x: int) -> PiKResult:
     ramified primes, from the factorization of |D|, are cleared from the
     windows of ``_prime_windows``.  By genus theory (D|p) is the product of
     (f|p) over the prime discriminants f of D (q* = +-q = 1 mod 4 for each
-    odd q | D, and a 2-part), each a table of period |f|, ``_nonresidues(f)``,
-    merged while the period stays <= SIEVE_SEGMENT.  A window is read in
-    blocks of SIEVE_SEGMENT / 32 bytes, each as one integer masked by the XOR
-    of the tables at its offset.  The factors above that cap (a prime factor
-    of |D| may reach 10^12) share one symbol per prime instead of a table.
+    odd q | D, and a 2-part), each with |f| <= SIEVE_SEGMENT a table of
+    period |f|, ``_nonresidues(f)``.  A window is read in blocks of
+    SIEVE_SEGMENT / 32 bytes, each as one integer masked by the XOR of the
+    tables at its offset.  The factors above that cap (a prime factor of |D|
+    may reach 10^12) share one symbol per prime instead of a table.
 
     >>> pi_K_count(-4, 10).count
     4
@@ -716,14 +721,9 @@ def pi_K_count(D: int, x: int) -> PiKResult:
     factors = [q if q % 4 == 1 else -q for q in ramified if q > 2]
     factors.append(D // prod(factors))  # the 2-part: 1, -4, 8 or -8
     big = prod(f for f in factors if abs(f) > SIEVE_SEGMENT)  # (big|p) is the product of their symbols
-    tables = []  # tables of coprime periods merge by the Chinese remainder theorem, up to SIEVE_SEGMENT
-    for t in sorted((_nonresidues(f) for f in factors if abs(f) <= SIEVE_SEGMENT), key=len):
-        if tables and len(tables[-1]) * len(t) <= SIEVE_SEGMENT:
-            u = tables.pop()
-            t = (int.from_bytes(u * len(t), "big") ^ int.from_bytes(t * len(u), "big")).to_bytes(len(u) * len(t), "big")
-        tables.append(t)
-    # [period, the table repeated to period + block bytes, last offset, its mask]
-    tables = [[len(t), memoryview(t * (block // len(t) + 1) + t[:block % len(t)]), -1, 0] for t in tables]
+    # [period, the table repeated to period + block bytes, last offset, its mask] of each factor up to the cap
+    tables = [[len(t), memoryview(t * (block // len(t) + 1) + t[:block % len(t)]), -1, 0]
+              for t in (_nonresidues(f) for f in factors if 1 < abs(f) <= SIEVE_SEGMENT)]
     marks = bytearray(SIEVE_SEGMENT) if big != 1 else None
     ones = int.from_bytes(b"\x01" * block, "little")
     count = sum(q <= x for q in ramified)

@@ -60,6 +60,17 @@ def test_primes_up_to():
     assert len(primes_up_to(10**5)) == 9592
 
 
+def test_prime_windows_match_the_whole_range_sieve():
+    # the segmented windows against primes_up_to's one byte sieve of [0, n]:
+    # n at and around the ends of the second and third segments, and past them
+    S = cmlab.SIEVE_SEGMENT
+    for n in (0, 1, 2, 3, 4, 24, 25, 2 * S - 1, 2 * S, 2 * S + 1, 3 * S + isqrt(3 * S), 3 * S + 12345):
+        windows = list(cmlab._prime_windows(n))
+        assert [start for start, _ in windows] == [0, *range(isqrt(n) + 1, n + 1, S)], n
+        primes = [p for start, flags in windows for p in itertools.compress(range(start, start + len(flags)), flags)]
+        assert primes == primes_up_to(n), n
+
+
 def test_kronecker_examples():
     assert kronecker(-4, 2) == 0
     assert kronecker(-4, 5) == 1
@@ -773,7 +784,7 @@ def test_pi_K_at_segment_and_alignment_boundaries():
     # the windows and blocks: x = kS - 1, kS, kS + 1, x where (isqrt(x), x]
     # is one short of, exactly or one past a whole number of S / 32 byte
     # blocks, and x at multiples of |D| past the windows' starts, with tables
-    # of period 8 (for -4), 3, 5, 163 and 3 * 2663 read from every offset
+    # of period 8 (for -4), 3, 5, 163, and 3 beside 2663, read from every offset
     S = cmlab.SIEVE_SEGMENT
     for D in (-4, -3, 5, -163, 7989):
         m = abs(D)
@@ -879,8 +890,8 @@ def test_pi_K_prime_near_ten_million_builds_no_table():
 def test_pi_K_memory_does_not_grow_with_x():
     # the windows bound the memory: no list of primes, no symbol per prime,
     # and no table for a factor above the segment length; nine odd factors
-    # (-3234846615), one just below the cap (-131071) and two tables merged
-    # just below it (131048 = 8 * 16381) stay in it too
+    # (-3234846615), one just below the cap (-131071) and a 2-part beside an
+    # odd factor (131048 = 8 * 16381) stay in it too
     pi_K_count(-4, 10**4)
     for D, x in ((-4, 2 * 10**6), (-131143, 10**6), (40009, 10**7), (-3234846615, 10**6), (-131071, 10**6),
                  (131048, 10**6)):

@@ -10,12 +10,12 @@ for byte:
 - seven prime-ideal counts to 10^7, all on the one genus-character route,
   with tables for the prime discriminants of D up to SIEVE_SEGMENT:
   D = -4 (the 2-part alone, whose table offset never moves from block to
-  block), D = 7989 = -3 * -2663 (two odd tables merged into one), D = 40009
+  block), D = 7989 = -3 * -2663 (two odd tables), D = 40009
   (one prime table), D = -131143 (a prime above SIEVE_SEGMENT: its symbol
   at each prime), D = 1000001 = 101 * 9901 (a composite |D| above
   SIEVE_SEGMENT: two tables and no symbol per prime), D = 655505 =
   5 * 131101 (one table and one prime above the cap) and D = -9240 =
-  8 * -3 * 5 * -7 * -11 (the 2-part 8 and four odd tables, merged); the
+  8 * -3 * 5 * -7 * -11 (the 2-part 8 and four odd tables); the
   last three were taken on the parent of the genus-character route;
 - three least non-split bound reports: the search at c = 200 (exact_value
   from a second, wider evaluation) and at |D| near 10^6, and the bound at
